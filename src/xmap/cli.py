@@ -16,7 +16,7 @@ import sys
 from pathlib import PurePath
 from typing import NoReturn, TextIO
 
-from .core import Crossmap, build_crossmap, summarize
+from .core import Crossmap, summarize
 from .errors import CrossmapError, DocumentError
 from .io import (
     import_crosswalk,
@@ -49,7 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         return handle.read()
 
 
@@ -78,9 +79,7 @@ def _cmd_compose(args: argparse.Namespace) -> str:
     first = _load_map(args.first, args.source_name, None)
     # The second map is read into the first's target taxonomy: composition
     # needs matching names, and the file stem is only a provenance default.
-    second = _load_map(args.second, None, args.target_name)
-    if second.source_taxonomy != first.target_taxonomy:
-        second = build_crossmap(first.target_taxonomy, second.target_taxonomy, second.links)
+    second = _load_map(args.second, first.target_taxonomy, args.target_name)
     return write_edge_list(compose(first, second))
 
 

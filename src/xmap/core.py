@@ -18,9 +18,11 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Union
 
 from .errors import (
@@ -37,6 +39,8 @@ from .errors import (
 WEIGHT_SUM_TOLERANCE = 1e-6
 
 _BANNED_CHARS = {",": "comma", "\n": "newline", "\r": "carriage return", '"': "double quote"}
+# The named characters above plus every C0 control except tab.
+_BANNED_PATTERN = re.compile('[,"\x00-\x08\x0a-\x1f]')
 
 
 def clean_label(text: str) -> str:
@@ -44,14 +48,18 @@ def clean_label(text: str) -> str:
 
     Labels are case-sensitive identifiers ("BLX", "111111", "004"); they are
     never numerically interpreted. Comma, newline, and double-quote characters
-    are banned so CSV emission stays unambiguous without quoting.
+    are banned so CSV emission stays unambiguous without quoting; the other C0
+    control characters except tab are banned because XML cannot carry them.
     """
     label = text.strip()
     if not label:
         raise InvalidLabel(text, "empty after trimming whitespace")
-    for ch, name in _BANNED_CHARS.items():
-        if ch in label:
-            raise InvalidLabel(label, f"contains a {name} character")
+    banned = _BANNED_PATTERN.search(label)
+    if banned:
+        for ch, name in _BANNED_CHARS.items():
+            if ch in label:
+                raise InvalidLabel(label, f"contains a {name} character")
+        raise InvalidLabel(label, f"contains control character {banned.group()!r}")
     return label
 
 
@@ -97,48 +105,51 @@ class RelationKind(Enum):
 class Crossmap:
     """A validated mapping between two taxonomies.
 
-    Link input order is preserved for deterministic output and layout; the
-    validation checks sort internally so their results are order-independent.
-    Construction validates every invariant -- no partially-valid crossmap is
-    observable. Prefer :func:`build_crossmap` for building from raw triples.
+    ``links`` keeps the input order, which writers and the category orders
+    follow; ``pair_order`` holds the same links sorted by (source, target), the
+    one order every reduction, layout and renderer iterates. Construction
+    validates every invariant -- no partially-valid crossmap is observable; a
+    duplicated pair is reported before a bad weight sum. Prefer
+    :func:`build_crossmap` for building from raw triples.
     """
 
     source_taxonomy: str
     target_taxonomy: str
     links: tuple[Link, ...]
+    pair_order: tuple[Link, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", tuple(self.links))
         if not self.links:
             raise EmptyCrossmap()
-        ordered = sorted(self.links, key=lambda link: link.pair)
-        seen: set[tuple[str, str]] = set()
-        for link in ordered:
-            if link.pair in seen:
+        ordered = tuple(sorted(self.links, key=lambda link: link.pair))
+        object.__setattr__(self, "pair_order", ordered)
+        for previous, link in pairwise(ordered):
+            if previous.pair == link.pair:
                 raise DuplicateLink(link.source, link.target)
-            seen.add(link.pair)
         totals: dict[str, float] = {}
         for link in ordered:
             totals[link.source] = totals.get(link.source, 0.0) + link.weight
-        for source in sorted(totals):
-            if abs(totals[source] - 1.0) > WEIGHT_SUM_TOLERANCE:
-                raise WeightSumViolation(source, totals[source])
+        for source, total in totals.items():  # keys arrive sorted, as ``ordered`` is
+            if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+                raise WeightSumViolation(source, total)
 
     # -- derived structure (cached; the dataclass is frozen so these never stale)
 
+    def _group_by(self, side: str) -> dict[str, tuple[Link, ...]]:
+        # Keys in first-appearance order, each group in pair order.
+        grouped: dict[str, list[Link]] = {getattr(link, side): [] for link in self.links}
+        for link in self.pair_order:
+            grouped[getattr(link, side)].append(link)
+        return {label: tuple(group) for label, group in grouped.items()}
+
     @cached_property
     def _links_by_source(self) -> dict[str, tuple[Link, ...]]:
-        grouped: dict[str, list[Link]] = {}
-        for link in self.links:
-            grouped.setdefault(link.source, []).append(link)
-        return {s: tuple(ls) for s, ls in grouped.items()}
+        return self._group_by("source")
 
     @cached_property
     def _links_by_target(self) -> dict[str, tuple[Link, ...]]:
-        grouped: dict[str, list[Link]] = {}
-        for link in self.links:
-            grouped.setdefault(link.target, []).append(link)
-        return {t: tuple(ls) for t, ls in grouped.items()}
+        return self._group_by("target")
 
     @property
     def source_categories(self) -> tuple[str, ...]:
@@ -151,12 +162,14 @@ class Crossmap:
         return tuple(self._links_by_target)
 
     def links_from(self, source: str) -> tuple[Link, ...]:
+        """Outgoing links of ``source``, in pair order (by target)."""
         try:
             return self._links_by_source[source]
         except KeyError:
             raise UnknownCategory(source, "source") from None
 
     def links_into(self, target: str) -> tuple[Link, ...]:
+        """Incoming links of ``target``, in pair order (by source)."""
         try:
             return self._links_by_target[target]
         except KeyError:
@@ -236,12 +249,14 @@ def summarize(crossmap: Crossmap) -> CrossmapSummary:
     """Count sources, targets, links, splits and aggregates in one pass."""
     in_degrees = {t: crossmap.in_degree(t) for t in crossmap.target_categories}
     ranked = sorted(in_degrees.items(), key=lambda item: (-item[1], item[0]))
+    kinds = [classify_source(crossmap, s) for s in crossmap.source_categories]
+    kinds += [classify_target(crossmap, t) for t in in_degrees]
     return CrossmapSummary(
         n_sources=len(crossmap.source_categories),
         n_targets=len(crossmap.target_categories),
         n_links=len(crossmap.links),
-        n_splits=sum(1 for s in crossmap.source_categories if crossmap.out_degree(s) > 1),
-        n_aggregates=sum(1 for d in in_degrees.values() if d > 1),
+        n_splits=kinds.count(RelationKind.SPLIT),
+        n_aggregates=kinds.count(RelationKind.AGGREGATE),
         max_in_degree=max(in_degrees.values()),
         most_synthetic_targets=tuple(ranked),
         is_crosswalk=crossmap.is_crosswalk,

@@ -67,8 +67,9 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
 
     The header must be exactly "from,to,weight" and every row must carry an
     explicit weight (crosswalk tables without weights go through
-    :func:`import_crosswalk` instead). Validation failures from crossmap
-    construction pass through with the offending line attached.
+    :func:`import_crosswalk` instead). Row-local defects are reported first,
+    in line order; crossmap validation failures come after, with the line of
+    the duplicate's second occurrence or of the violating source's last row.
     """
     lines = _lines(text)
     if not lines or lines[0] != EDGE_LIST_HEADER:
@@ -76,8 +77,6 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
         raise ParseError(1, f"expected header {EDGE_LIST_HEADER!r}, found {found!r}")
 
     links: list[Link] = []
-    seen: dict[tuple[str, str], int] = {}
-    last_line_for_source: dict[str, int] = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 3:
@@ -90,19 +89,19 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
         if not math.isfinite(weight):
             raise ParseError(number, f"invalid weight {raw_weight!r}")
         try:
-            link = Link(raw_from, raw_to, weight)
+            links.append(Link(raw_from, raw_to, weight))
         except CrossmapError as err:
             raise err.at_line(number)
-        if link.pair in seen:
-            raise DuplicateLink(link.source, link.target).at_line(number)
-        seen[link.pair] = number
-        last_line_for_source[link.source] = number
-        links.append(link)
 
+    # Every row parsed, so link i sits on line i + 2.
     try:
-        return build_crossmap(source_taxonomy, target_taxonomy, links)
+        return Crossmap(source_taxonomy, target_taxonomy, tuple(links))
+    except DuplicateLink as err:
+        rows = [i for i, link in enumerate(links) if link.pair == (err.source, err.target)]
+        raise err.at_line(rows[1] + 2)
     except WeightSumViolation as err:
-        raise err.at_line(last_line_for_source[err.source])
+        rows = [i for i, link in enumerate(links) if link.source == err.source]
+        raise err.at_line(rows[-1] + 2)
 
 
 def write_edge_list(crossmap: Crossmap) -> str:

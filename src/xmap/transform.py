@@ -6,8 +6,8 @@ then sum the pieces per target category. Also provides sequential composition
 of crossmaps, inversion of bijective crosswalks, and harmonisation of several
 sources into one long-format panel sharing a target taxonomy.
 
-Floating-point determinism: every reduction iterates links sorted by
-(source, target), so repeated runs produce byte-identical results.
+Floating-point determinism: every reduction iterates ``Crossmap.pair_order``,
+whatever the input link order, so repeated runs produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import Crossmap, Link, build_crossmap, clean_label
+from .core import (
+    Crossmap,
+    Link,
+    RelationKind,
+    build_crossmap,
+    classify_source,
+    classify_target,
+    clean_label,
+)
 from .errors import (
     CrossmapError,
     DuplicateKey,
@@ -145,7 +153,7 @@ def apply(
         )
 
     totals = {target: 0.0 for target in crossmap.target_categories}
-    for link in sorted(crossmap.links, key=lambda link: link.pair):
+    for link in crossmap.pair_order:
         totals[link.target] += link.weight * series.entries.get(link.source, 0.0)
     return IndexedSeries(crossmap.target_taxonomy, totals)
 
@@ -160,15 +168,10 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     the product of row-stochastic maps is row-stochastic, so the result passes
     full validation. Composed links are ordered by (source, target).
     """
-    if a.target_taxonomy != b.source_taxonomy:
-        raise TaxonomyMismatch(a.target_taxonomy, b.source_taxonomy)
-    uncovered = sorted(set(a.target_categories) - set(b.source_categories))
-    if uncovered:
-        raise UncoveredIntermediate(uncovered[0])
-
+    MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     weights: dict[tuple[str, str], float] = {}
-    for first in sorted(a.links, key=lambda link: link.pair):
-        for second in sorted(b.links_from(first.target), key=lambda link: link.pair):
+    for first in a.pair_order:
+        for second in b.links_from(first.target):
             pair = (first.source, second.target)
             weights[pair] = weights.get(pair, 0.0) + first.weight * second.weight
     # The exact sum never exceeds 1, but float accumulation can overshoot by
@@ -186,11 +189,11 @@ def invert(crossmap: Crossmap) -> Crossmap:
     ``invert(invert(c))`` reproduces ``c`` exactly.
     """
     for source in crossmap.source_categories:
-        if crossmap.out_degree(source) > 1:
-            raise NotBijective("split", source)
+        if classify_source(crossmap, source) is RelationKind.SPLIT:
+            raise NotBijective(RelationKind.SPLIT.value, source)
     for target in crossmap.target_categories:
-        if crossmap.in_degree(target) > 1:
-            raise NotBijective("aggregate", target)
+        if classify_target(crossmap, target) is RelationKind.AGGREGATE:
+            raise NotBijective(RelationKind.AGGREGATE.value, target)
     reversed_links = tuple(Link(l.target, l.source, 1.0) for l in crossmap.links)
     return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 

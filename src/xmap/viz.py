@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 from xml.sax.saxutils import escape
 
-from .core import Crossmap
+from .core import Crossmap, RelationKind, classify_source, classify_target
 from .errors import PlanMismatch
 from .io import format_weight
 from .transform import MultiStepChain
@@ -52,7 +53,7 @@ class PlacedNode:
     label: str
     x: int  # column index
     y: int  # row index within the column
-    style_class: str  # "split" | "one-to-one" | "aggregate" | "unique"
+    style_class: str  # the RelationKind value of the node's role
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,27 @@ def _mean(values: list[int], fallback: float) -> float:
     return sum(values) / len(values) if values else fallback
 
 
+def _is_split(crossmap: Crossmap, source: str) -> bool:
+    return classify_source(crossmap, source) is RelationKind.SPLIT
+
+
+def _edges(
+    step: Crossmap, gap: int, tail_row: dict[str, int], head_row: dict[str, int]
+) -> Iterator[PlannedEdge]:
+    """One planned edge per link of ``step``, in pair order, from column
+    ``gap`` to column ``gap + 1``."""
+    return (
+        PlannedEdge(
+            tail=(gap, tail_row[link.source]),
+            head=(gap + 1, head_row[link.target]),
+            weight=link.weight,
+            line_style=DASHED if _is_split(step, link.source) else SOLID,
+            label_text=format_weight(link.weight),
+        )
+        for link in step.pair_order
+    )
+
+
 def layout_bipartite(
     crossmap: Crossmap,
     ordering: NodeOrdering = NodeOrdering.SPLITS_FIRST,
@@ -117,7 +139,7 @@ def layout_bipartite(
     targets = list(crossmap.target_categories)
 
     if ordering is NodeOrdering.SPLITS_FIRST:
-        sources = sorted(sources, key=lambda s: 0 if crossmap.out_degree(s) > 1 else 1)
+        sources = sorted(sources, key=lambda s: not _is_split(crossmap, s))
         src_row = {label: row for row, label in enumerate(sources)}
         targets = sorted(
             targets,
@@ -142,31 +164,15 @@ def layout_bipartite(
     tgt_row = {label: row for row, label in enumerate(targets)}
     layers = (
         tuple(
-            PlacedNode(
-                label, 0, src_row[label],
-                "split" if crossmap.out_degree(label) > 1 else "one-to-one",
-            )
+            PlacedNode(label, 0, src_row[label], classify_source(crossmap, label).value)
             for label in sources
         ),
         tuple(
-            PlacedNode(
-                label, 1, tgt_row[label],
-                "aggregate" if crossmap.in_degree(label) > 1 else "unique",
-            )
+            PlacedNode(label, 1, tgt_row[label], classify_target(crossmap, label).value)
             for label in targets
         ),
     )
-    edges = tuple(
-        PlannedEdge(
-            tail=(0, src_row[link.source]),
-            head=(1, tgt_row[link.target]),
-            weight=link.weight,
-            line_style=DASHED if crossmap.out_degree(link.source) > 1 else SOLID,
-            label_text=format_weight(link.weight),
-        )
-        for link in sorted(crossmap.links, key=lambda link: link.pair)
-    )
-    return LayoutPlan(layers, edges)
+    return LayoutPlan(layers, tuple(_edges(crossmap, 0, src_row, tgt_row)))
 
 
 def count_crossings(orders: list[list[str]], steps: tuple[Crossmap, ...]) -> int:
@@ -197,26 +203,12 @@ def layout_chain(chain: MultiStepChain, sweeps: int = 4) -> LayoutPlan:
 
     columns: list[list[str]] = [list(steps[0].source_categories)]
     for index, step in enumerate(steps):
-        column = list(step.target_categories)
-        present = set(column)
-        if index + 1 < len(steps):
-            # Sources of the next step that nothing maps into still occupy a row.
-            for label in steps[index + 1].source_categories:
-                if label not in present:
-                    column.append(label)
-                    present.add(label)
-        columns.append(column)
+        # Sources of the next step that nothing maps into still occupy a row.
+        onward = steps[index + 1].source_categories if index + 1 < len(steps) else ()
+        columns.append(list(dict.fromkeys(step.target_categories + onward)))
 
-    into: list[dict[str, list[str]]] = []
-    out_of: list[dict[str, list[str]]] = []
-    for step in steps:
-        ins: dict[str, list[str]] = {}
-        outs: dict[str, list[str]] = {}
-        for link in step.links:
-            outs.setdefault(link.source, []).append(link.target)
-            ins.setdefault(link.target, []).append(link.source)
-        into.append(ins)
-        out_of.append(outs)
+    into = [{t: [l.source for l in s.links_into(t)] for t in s.target_categories} for s in steps]
+    out_of = [{h: [l.target for l in s.links_from(h)] for h in s.source_categories} for s in steps]
 
     orders = [list(column) for column in columns]
     best_orders = [list(column) for column in columns]
@@ -256,27 +248,20 @@ def layout_chain(chain: MultiStepChain, sweeps: int = 4) -> LayoutPlan:
         placed = []
         for label in order:
             if col_index == 0:
-                out_degree = len(out_of[0].get(label, []))
-                style = "split" if out_degree > 1 else "one-to-one"
-            else:
-                in_degree = len(into[col_index - 1].get(label, []))
-                style = "aggregate" if in_degree > 1 else "unique"
-            placed.append(PlacedNode(label, col_index, row_of[label], style))
+                kind = classify_source(steps[0], label)
+            elif label in into[col_index - 1]:
+                kind = classify_target(steps[col_index - 1], label)
+            else:  # a source of the next step that this step never reaches
+                kind = RelationKind.UNIQUE
+            placed.append(PlacedNode(label, col_index, row_of[label], kind.value))
         layers.append(tuple(placed))
 
-    edges: list[PlannedEdge] = []
-    for gap, step in enumerate(steps):
-        for link in sorted(step.links, key=lambda link: link.pair):
-            edges.append(
-                PlannedEdge(
-                    tail=(gap, rows[gap][link.source]),
-                    head=(gap + 1, rows[gap + 1][link.target]),
-                    weight=link.weight,
-                    line_style=DASHED if step.out_degree(link.source) > 1 else SOLID,
-                    label_text=format_weight(link.weight),
-                )
-            )
-    return LayoutPlan(tuple(layers), tuple(edges))
+    edges = tuple(
+        edge
+        for gap, step in enumerate(steps)
+        for edge in _edges(step, gap, rows[gap], rows[gap + 1])
+    )
+    return LayoutPlan(tuple(layers), edges)
 
 
 # ── rendering ─────────────────────────────────────────────────────────────
@@ -337,8 +322,7 @@ def render_svg(plan: LayoutPlan, crossmap: Crossmap, style: RenderStyle | None =
 
     for node in sorted(plan.layers[0], key=lambda node: node.y):
         x, y = position(0, node.y)
-        split = crossmap.out_degree(node.label) > 1
-        face = ' font-style="italic"' if split else ' font-weight="bold"'
+        face = ' font-style="italic"' if _is_split(crossmap, node.label) else ' font-weight="bold"'
         parts.append(
             f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
             f'fill="{_SOURCE_FILL}"/>'
@@ -360,18 +344,17 @@ def render_svg(plan: LayoutPlan, crossmap: Crossmap, style: RenderStyle | None =
             _label_markup(node.label, x + 2 * _NODE_RADIUS, y + 4, ' text-anchor="start"')
         )
 
-    ordered_links = sorted(crossmap.links, key=lambda link: link.pair)
-    for link in ordered_links:
+    for link in crossmap.pair_order:
         x1, y1 = position(0, src_row[link.source])
         x2, y2 = position(1, tgt_row[link.target])
-        dashed = ' stroke-dasharray="6,4"' if crossmap.out_degree(link.source) > 1 else ""
+        dashed = ' stroke-dasharray="6,4"' if _is_split(crossmap, link.source) else ""
         parts.append(
             f'<line x1="{_coord(x1 + _EDGE_TRIM)}" y1="{_coord(y1)}" '
             f'x2="{_coord(x2 - _EDGE_TRIM)}" y2="{_coord(y2)}" '
             f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{dashed}/>'
         )
 
-    for index, link in enumerate(ordered_links):
+    for index, link in enumerate(crossmap.pair_order):
         if style.hide_unit_weights and link.weight == 1.0:
             continue
         x1, y1 = position(0, src_row[link.source])
@@ -416,9 +399,9 @@ def render_dot(crossmap: Crossmap) -> str:
     for label in crossmap.target_categories:
         lines.append(f"    {_dot_id('to', label)} [label={_dot_label(label)}];")
     lines.append("  }")
-    for link in sorted(crossmap.links, key=lambda link: link.pair):
+    for link in crossmap.pair_order:
         attrs = f"label={_dot_label(format_weight(link.weight))}"
-        if crossmap.out_degree(link.source) > 1:
+        if _is_split(crossmap, link.source):
             attrs += ", style=dashed"
         lines.append(f"  {_dot_id('from', link.source)} -> {_dot_id('to', link.target)} [{attrs}];")
     lines.append("}")

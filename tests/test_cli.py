@@ -210,3 +210,11 @@ def test_byte_identical_across_hash_seeds(table2, values):
         ["transform", "--map", table2, "--data", values],
     ):
         assert capture("0", argv) == capture("1", argv) == capture("42", argv)
+
+
+def test_validate_accepts_utf8_bom(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + COUNTRY_EDGE_TEXT.encode("utf-8"))
+    code, out, err = invoke("validate", str(path))
+    assert code == 0, err
+    assert out == "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"

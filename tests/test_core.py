@@ -177,3 +177,30 @@ def test_summary_agrees_with_independent_degree_scan():
         for source in crossmap.source_categories:
             expected = RelationKind.SPLIT if out_degrees[source] > 1 else RelationKind.ONE_TO_ONE
             assert classify_source(crossmap, source) is expected
+
+
+@pytest.mark.parametrize("control", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f"])
+def test_clean_label_rejects_c0_controls(control):
+    with pytest.raises(InvalidLabel):
+        clean_label(f"a{control}b")
+
+
+def test_clean_label_keeps_inner_tab():
+    assert clean_label("a\tb") == "a\tb"
+
+
+def test_neighbourhoods_come_back_in_pair_order():
+    # links deliberately given out of (source, target) order
+    crossmap = build_crossmap(
+        "x", "y",
+        [("b", "q", 0.5), ("a", "q", 1.0), ("b", "p", 0.5), ("c", "q", 0.25), ("c", "p", 0.75)],
+    )
+    assert [l.target for l in crossmap.links_from("b")] == ["p", "q"]
+    assert [l.target for l in crossmap.links_from("c")] == ["p", "q"]
+    assert [l.source for l in crossmap.links_into("q")] == ["a", "b", "c"]
+    assert [l.source for l in crossmap.links_into("p")] == ["b", "c"]
+    assert [l.pair for l in crossmap.pair_order] == sorted(l.pair for l in crossmap.links)
+    # first-appearance category order and stored link order are untouched
+    assert crossmap.source_categories == ("b", "a", "c")
+    assert crossmap.target_categories == ("q", "p")
+    assert crossmap.links[0].pair == ("b", "q")

@@ -102,6 +102,30 @@ def test_read_edge_list_sum_violation_points_at_sources_last_row():
     assert "(line 4)" in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "rows, error, line",
+    [
+        # a row-local defect anywhere beats a duplicate seen earlier
+        ("a,b,0.5\na,b,0.5\nc,d,abc\n", ParseError, 4),
+        ("a,b,0.5\na,b,0.5\nc,d,2\n", WeightOutOfRange, 4),
+        # among map-level defects the smallest duplicated pair is named first,
+        # at its second occurrence, though ("z", "y") repeats on an earlier line
+        ("z,y,0.5\nz,y,0.5\nb,c,0.3\nb,c,0.3\nb,d,0.5\n", DuplicateLink, 5),
+        # duplicates come before weight sums, whichever line breaks first
+        ("b,c,0.5\nz,y,0.5\nz,y,0.5\n", DuplicateLink, 4),
+        # then the smallest violating source, at its last row
+        ("q,r,0.5\nm,n,0.5\nq,s,0.4\nm,o,0.4\n", WeightSumViolation, 5),
+    ],
+    ids=["parse-over-duplicate", "range-over-duplicate", "smallest-duplicate",
+         "duplicate-over-sum", "smallest-sum-source"],
+)
+def test_read_edge_list_multi_defect_policy(rows, error, line):
+    with pytest.raises(error) as caught:
+        read_edge_list("from,to,weight\n" + rows, "x", "y")
+    assert caught.value.line == line
+    assert f"(line {line})" in str(caught.value)
+
+
 def test_write_edge_list_weight_formatting():
     text = write_edge_list(country_fixture())
     assert "E.GER,DEU,1\n" in text

@@ -251,3 +251,11 @@ def test_barycenter_solves_a_known_tangle():
     assert oracle_crossings(tail_rows, head_rows, [("a", "p"), ("a", "q"), ("b", "p")]) == 1
     plan = layout_chain(MultiStepChain((tangled,)))
     assert plan_crossings(plan) == 0
+
+
+def test_svg_with_tab_label_is_well_formed():
+    from xml.dom import minidom
+
+    crossmap = build_crossmap("x", "y", [("a\tb", "c", 1.0)])
+    svg = render_svg(layout_bipartite(crossmap), crossmap)
+    assert minidom.parseString(svg).documentElement.tagName == "svg"
