@@ -88,7 +88,7 @@ def _cmd_render(args: argparse.Namespace) -> str:
     if args.format == "dot":
         return render_dot(crossmap)
     plan = layout_bipartite(crossmap, NodeOrdering(args.order))
-    return render_svg(plan, crossmap, RenderStyle(hide_unit_weights=args.hide_unit_weights))
+    return render_svg(plan, RenderStyle(hide_unit_weights=args.hide_unit_weights))
 
 
 def _cmd_summarize(args: argparse.Namespace) -> str:

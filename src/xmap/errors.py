@@ -190,5 +190,5 @@ class EmptyCell(DocumentError):
 
 class PlanMismatch(CrossmapError):
     def __init__(self, detail: str):
-        super().__init__(f"layout plan does not match crossmap: {detail}")
+        super().__init__(f"inconsistent layout plan: {detail}")
         self.detail = detail

@@ -36,11 +36,12 @@ def format_weight(weight: float) -> str:
     """Render a link weight with up to 9 fractional digits.
 
     Trailing zeros are trimmed and unit weights come out as "1". Weights below
-    5e-10 are not representable at this precision; the 1e-9 round-trip
-    guarantee covers everything else.
+    5e-10 would round to "0", which no reader accepts, so they print in
+    ``repr`` form (1e-10 as "1e-10"); the 1e-9 round-trip guarantee covers
+    every weight.
     """
     text = f"{weight:.9f}".rstrip("0").rstrip(".")
-    return text or "0"
+    return repr(weight) if text == "0" else text
 
 
 def format_value(value: float) -> str:

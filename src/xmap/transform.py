@@ -135,6 +135,7 @@ def apply(
     A data category with no outgoing link raises ``MissingSourceMapping``
     unless ``allow_unmatched`` is set, in which case its mass is excluded and
     a warning is logged -- silent mass loss is the worst failure mode here.
+    A weighted sum that overflows raises a ``CrossmapError`` naming the target.
     """
     if series.taxonomy != crossmap.source_taxonomy:
         raise TaxonomyMismatch(crossmap.source_taxonomy, series.taxonomy)
@@ -155,7 +156,10 @@ def apply(
     totals = {target: 0.0 for target in crossmap.target_categories}
     for link in crossmap.pair_order:
         totals[link.target] += link.weight * series.entries.get(link.source, 0.0)
-    return IndexedSeries(crossmap.target_taxonomy, totals)
+    try:
+        return IndexedSeries(crossmap.target_taxonomy, totals)
+    except NonFiniteValue as err:  # the inputs were finite, so the sum overflowed
+        raise CrossmapError(f"value for target {err.label!r} overflows to {err.value!r}") from None
 
 
 def compose(a: Crossmap, b: Crossmap) -> Crossmap:

@@ -15,10 +15,11 @@ byte-identical SVG and DOT text.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from html import escape
 from typing import Iterator
-from xml.sax.saxutils import escape
 
 from .core import Crossmap, RelationKind, classify_source, classify_target
 from .errors import PlanMismatch
@@ -62,12 +63,13 @@ class PlannedEdge:
     head: tuple[int, int]
     weight: float
     line_style: str  # SOLID or DASHED; dashed iff the tail node is a split
-    label_text: str | None
+    label_text: str
 
 
 @dataclass(frozen=True)
 class LayoutPlan:
-    """Resolved node positions, orderings, and style classes for rendering."""
+    """All a renderer reads: placed nodes per column, and edges between placed
+    nodes of adjacent columns with their line style and weight text."""
 
     layers: tuple[tuple[PlacedNode, ...], ...]
     edges: tuple[PlannedEdge, ...]
@@ -79,6 +81,10 @@ class LayoutPlan:
             for node in column:
                 if node.x != index:
                     raise PlanMismatch(f"node {node.label!r} is misfiled in column {index}")
+        placed = {(node.x, node.y) for column in self.layers for node in column}
+        for edge in self.edges:
+            if edge.head[0] != edge.tail[0] + 1 or not (edge.tail in placed and edge.head in placed):
+                raise PlanMismatch(f"edge {edge.tail} -> {edge.head} joins no adjacent placed nodes")
 
 
 @dataclass(frozen=True)
@@ -273,8 +279,9 @@ def _coord(value: float) -> str:
 
 
 def target_opacity(in_degree: int) -> float:
-    """Linear opacity ramp with a visible floor, clamped at fully opaque."""
-    return min(1.0, 0.35 + 0.25 * (in_degree - 1))
+    """Linear opacity ramp with a visible floor of 0.35, which in-degrees 0
+    (a chain's onward-only sources) and 1 share, clamped at fully opaque."""
+    return min(1.0, 0.35 + 0.25 * max(in_degree - 1, 0))
 
 
 def _label_markup(label: str, x: float, y: float, attrs: str) -> str:
@@ -282,35 +289,27 @@ def _label_markup(label: str, x: float, y: float, attrs: str) -> str:
     title = ""
     if len(label) > _MAX_LABEL_CHARS:
         shown = label[: _MAX_LABEL_CHARS - 1] + "…"
-        title = f"<title>{escape(label)}</title>"
-    return f'<text x="{_coord(x)}" y="{_coord(y)}"{attrs}>{title}{escape(shown)}</text>'
+        title = f"<title>{escape(label, quote=False)}</title>"
+    return f'<text x="{_coord(x)}" y="{_coord(y)}"{attrs}>{title}{escape(shown, quote=False)}</text>'
 
 
-def render_svg(plan: LayoutPlan, crossmap: Crossmap, style: RenderStyle | None = None) -> str:
-    """Render a two-layer plan of a crossmap as an SVG 1.1 document.
+def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
+    """Render a plan of any number of columns as an SVG 1.1 document.
 
-    Element order is fixed (source nodes by row, target nodes by row, edges
-    by (source, target) pair, weight labels last) and all numbers use a fixed
-    format, so rendering is byte-identical across runs. Weight labels stagger
-    above/below edge midpoints on alternate edges to reduce collisions.
+    Reads the plan alone: column 0 is drawn as sources, later columns are
+    shaded by how many plan edges reach each node. Element order is fixed
+    (nodes by column then row, edges in plan order, weight labels last) and
+    all numbers use a fixed format, so rendering is byte-identical across
+    runs. Weight labels stagger above/below edge midpoints on alternate edges.
     """
     style = style or RenderStyle()
-    if len(plan.layers) != 2:
-        raise PlanMismatch(f"expected 2 layers, plan has {len(plan.layers)}")
-    plan_sources = sorted(node.label for node in plan.layers[0])
-    plan_targets = sorted(node.label for node in plan.layers[1])
-    if plan_sources != sorted(crossmap.source_categories):
-        raise PlanMismatch("source layer does not match the crossmap's source categories")
-    if plan_targets != sorted(crossmap.target_categories):
-        raise PlanMismatch("target layer does not match the crossmap's target categories")
 
     def position(column: int, row: int) -> tuple[float, float]:
         return (_PAD_X + column * style.layer_spacing, _PAD_Y + row * style.node_spacing)
 
-    src_row = {node.label: node.y for node in plan.layers[0]}
-    tgt_row = {node.label: node.y for node in plan.layers[1]}
-    max_rows = max(len(plan.layers[0]), len(plan.layers[1]))
-    width = 2 * _PAD_X + style.layer_spacing
+    in_degree = Counter(edge.head for edge in plan.edges)
+    max_rows = max((len(column) for column in plan.layers), default=0)
+    width = 2 * _PAD_X + (len(plan.layers) - 1) * style.layer_spacing
     height = 2 * _PAD_Y + (max_rows - 1) * style.node_spacing
 
     parts: list[str] = [
@@ -320,51 +319,41 @@ def render_svg(plan: LayoutPlan, crossmap: Crossmap, style: RenderStyle | None =
         '<g font-family="Helvetica, Arial, sans-serif" font-size="13" fill="#1f2933">',
     ]
 
-    for node in sorted(plan.layers[0], key=lambda node: node.y):
-        x, y = position(0, node.y)
-        face = ' font-style="italic"' if _is_split(crossmap, node.label) else ' font-weight="bold"'
-        parts.append(
-            f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
-            f'fill="{_SOURCE_FILL}"/>'
-        )
-        parts.append(
-            _label_markup(node.label, x - 2 * _NODE_RADIUS, y + 4, f' text-anchor="end"{face}')
-        )
+    for column in plan.layers:
+        for node in sorted(column, key=lambda node: node.y):
+            x, y = position(node.x, node.y)
+            shade = ""
+            if node.x == 0:
+                split = node.style_class == RelationKind.SPLIT.value
+                face = ' font-style="italic"' if split else ' font-weight="bold"'
+                fill, label_x, attrs = _SOURCE_FILL, x - 2 * _NODE_RADIUS, f' text-anchor="end"{face}'
+            else:
+                fill, label_x, attrs = _TARGET_FILL, x + 2 * _NODE_RADIUS, ' text-anchor="start"'
+                if style.shade_by_in_degree:
+                    shade = f' fill-opacity="{_coord(target_opacity(in_degree[node.x, node.y]))}"'
+            parts.append(
+                f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
+                f'fill="{fill}"{shade}/>'
+            )
+            parts.append(_label_markup(node.label, label_x, y + 4, attrs))
 
-    for node in sorted(plan.layers[1], key=lambda node: node.y):
-        x, y = position(1, node.y)
-        shade = ""
-        if style.shade_by_in_degree:
-            shade = f' fill-opacity="{_coord(target_opacity(crossmap.in_degree(node.label)))}"'
-        parts.append(
-            f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
-            f'fill="{_TARGET_FILL}"{shade}/>'
-        )
-        parts.append(
-            _label_markup(node.label, x + 2 * _NODE_RADIUS, y + 4, ' text-anchor="start"')
-        )
-
-    for link in crossmap.pair_order:
-        x1, y1 = position(0, src_row[link.source])
-        x2, y2 = position(1, tgt_row[link.target])
-        dashed = ' stroke-dasharray="6,4"' if _is_split(crossmap, link.source) else ""
+    weight_labels: list[str] = []
+    for index, edge in enumerate(plan.edges):
+        (x1, y1), (x2, y2) = position(*edge.tail), position(*edge.head)
+        dashed = ' stroke-dasharray="6,4"' if edge.line_style == DASHED else ""
         parts.append(
             f'<line x1="{_coord(x1 + _EDGE_TRIM)}" y1="{_coord(y1)}" '
             f'x2="{_coord(x2 - _EDGE_TRIM)}" y2="{_coord(y2)}" '
             f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{dashed}/>'
         )
-
-    for index, link in enumerate(crossmap.pair_order):
-        if style.hide_unit_weights and link.weight == 1.0:
+        if style.hide_unit_weights and edge.weight == 1.0:
             continue
-        x1, y1 = position(0, src_row[link.source])
-        x2, y2 = position(1, tgt_row[link.target])
-        mid_x = (x1 + x2) / 2
         mid_y = (y1 + y2) / 2 + (-6.0 if index % 2 == 0 else 14.0)
-        parts.append(
-            f'<text x="{_coord(mid_x)}" y="{_coord(mid_y)}" text-anchor="middle" '
-            f'font-size="11" fill="{_LABEL_FILL}">{escape(format_weight(link.weight))}</text>'
+        weight_labels.append(
+            f'<text x="{_coord((x1 + x2) / 2)}" y="{_coord(mid_y)}" text-anchor="middle" '
+            f'font-size="11" fill="{_LABEL_FILL}">{escape(edge.label_text, quote=False)}</text>'
         )
+    parts.extend(weight_labels)
 
     parts.append("</g>")
     parts.append("</svg>")

@@ -178,7 +178,7 @@ def test_criterion_07_round_trips_500_crossmaps_and_summary_json():
 
 def test_criterion_08_svg_encodings_and_determinism():
     crossmap = country_fixture()
-    svg = render_svg(layout_bipartite(crossmap), crossmap)
+    svg = render_svg(layout_bipartite(crossmap))
     assert svg.count("stroke-dasharray") == 2
     assert svg.count('font-style="italic"') == 1
     assert svg.count('font-weight="bold"') == 3
@@ -193,7 +193,7 @@ def test_criterion_08_svg_encodings_and_determinism():
     for label in ("BEL", "LUX", "AUS"):
         assert opacity["DEU"] > opacity[label]
 
-    again = render_svg(layout_bipartite(crossmap), crossmap)
+    again = render_svg(layout_bipartite(crossmap))
     assert svg == again
 
 

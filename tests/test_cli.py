@@ -130,6 +130,30 @@ def test_compose_uncovered_intermediate(table2, tmp_path):
     assert "AUS" in err
 
 
+def test_compose_with_tiny_weight_validates(tmp_path):
+    first = tmp_path / "first.csv"
+    first.write_text("from,to,weight\na,b,1\n")
+    second = tmp_path / "second.csv"
+    second.write_text("from,to,weight\nb,x,0.0000000001\nb,y,0.9999999999\n")
+    composed = tmp_path / "composed.csv"
+    code, _, err = invoke("compose", str(first), str(second), "--out", str(composed))
+    assert code == 0, err
+    code, out, err = invoke("validate", str(composed))
+    assert code == 0, err
+    assert out == "valid: 1 sources, 2 targets, 2 links, 1 splits, 0 aggregates\n"
+
+
+def test_transform_overflow_is_exit_1(tmp_path):
+    edges = tmp_path / "merge.csv"
+    edges.write_text("from,to,weight\na,t,1\nb,t,1\n")
+    data = tmp_path / "huge.csv"
+    data.write_text("key,value\na,1e308\nb,1e308\n")
+    code, out, err = invoke("transform", "--map", str(edges), "--data", str(data))
+    assert code == 1
+    assert out == ""
+    assert "'t'" in err
+
+
 def test_summarize_text_and_json(table2):
     code, out, _ = invoke("summarize", table2)
     assert code == 0
@@ -218,3 +242,14 @@ def test_validate_accepts_utf8_bom(tmp_path):
     code, out, err = invoke("validate", str(path))
     assert code == 0, err
     assert out == "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
+
+
+def test_cli_import_loads_no_network_or_sax_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl,
+    # which cost every command tens of milliseconds of start-up
+    heavy = ["urllib.request", "http.client", "email", "ssl", "xml.sax"]
+    probe = f"import sys, xmap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

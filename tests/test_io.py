@@ -15,6 +15,7 @@ from xmap import (
     ParseError,
     WeightOutOfRange,
     WeightSumViolation,
+    compose,
     harmonise,
     import_crosswalk,
     read_crosswalk_table,
@@ -130,6 +131,19 @@ def test_write_edge_list_weight_formatting():
     text = write_edge_list(country_fixture())
     assert "E.GER,DEU,1\n" in text
     assert "BLX,BEL,0.5\n" in text
+
+
+def test_tiny_composed_weight_round_trips():
+    # 1e-10 is below the 9-digit format's resolution; it must not print as 0
+    first = read_edge_list("from,to,weight\na,b,1\n", "x", "m")
+    second = read_edge_list("from,to,weight\nb,x,0.0000000001\nb,y,0.9999999999\n", "m", "y")
+    fused = compose(first, second)
+    text = write_edge_list(fused)
+    assert "a,x,1e-10\n" in text
+    again = read_edge_list(text, "x", "y")
+    assert [link.pair for link in again.links] == [link.pair for link in fused.links]
+    for mine, theirs in zip(again.links, fused.links):
+        assert abs(mine.weight - theirs.weight) <= 1e-9
 
 
 def test_labels_are_never_numeric():

@@ -8,6 +8,7 @@ import pytest
 
 from xmap import (
     CrossmapError,
+    DocumentError,
     DuplicateKey,
     DuplicateUnit,
     HarmonisedPanel,
@@ -134,6 +135,14 @@ def test_compose_clamps_float_overshoot():
     collect = build_crossmap("m", "y", [("m1", "u", 1.0), ("m2", "u", 1.0), ("m3", "u", 1.0)])
     fused = compose(spread, collect)
     assert fused.links[0].weight == 1.0
+
+
+def test_apply_overflow_is_a_domain_error():
+    merge = build_crossmap("x", "y", [("a", "t", 1.0), ("b", "t", 1.0)])
+    with pytest.raises(CrossmapError) as caught:
+        apply(merge, IndexedSeries("x", {"a": 1e308, "b": 1e308}))
+    assert not isinstance(caught.value, DocumentError)
+    assert "'t'" in str(caught.value)
 
 
 def test_invert_bijection_round_trips():

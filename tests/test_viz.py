@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from xml.dom import minidom
 
 import pytest
 
@@ -11,6 +12,7 @@ from xmap import (
     NodeOrdering,
     PlacedNode,
     PlanMismatch,
+    PlannedEdge,
     RenderStyle,
     build_crossmap,
     layout_bipartite,
@@ -18,7 +20,13 @@ from xmap import (
     render_dot,
     render_svg,
 )
-from helpers import country_fixture, oracle_crossings, plan_crossings, random_crossmap
+from helpers import (
+    country_fixture,
+    oracle_crossings,
+    plan_crossings,
+    random_composable_pair,
+    random_crossmap,
+)
 
 
 def rows(plan: LayoutPlan, column: int) -> list[str]:
@@ -65,7 +73,7 @@ def test_render_style_validation():
 
 def test_svg_marks_relation_kinds():
     crossmap = country_fixture()
-    svg = render_svg(layout_bipartite(crossmap), crossmap)
+    svg = render_svg(layout_bipartite(crossmap))
     assert svg.count("stroke-dasharray") == 2
     assert svg.count('font-style="italic"') == 1
     assert svg.count('font-weight="bold"') == 3
@@ -73,7 +81,7 @@ def test_svg_marks_relation_kinds():
 
 def test_svg_opacity_tracks_in_degree():
     crossmap = country_fixture()
-    svg = render_svg(layout_bipartite(crossmap), crossmap)
+    svg = render_svg(layout_bipartite(crossmap))
     pairs = re.findall(
         r'fill-opacity="([0-9.]+)"/>\n<text[^>]*>(?:<title>[^<]*</title>)?([^<]+)</text>', svg
     )
@@ -84,15 +92,15 @@ def test_svg_opacity_tracks_in_degree():
 
 def test_svg_shading_can_be_disabled():
     crossmap = country_fixture()
-    svg = render_svg(layout_bipartite(crossmap), crossmap, RenderStyle(shade_by_in_degree=False))
+    svg = render_svg(layout_bipartite(crossmap), RenderStyle(shade_by_in_degree=False))
     assert "fill-opacity" not in svg
 
 
 def test_svg_unit_weight_suppression():
     crossmap = country_fixture()
     plan = layout_bipartite(crossmap)
-    full = render_svg(plan, crossmap)
-    bare = render_svg(plan, crossmap, RenderStyle(hide_unit_weights=True))
+    full = render_svg(plan)
+    bare = render_svg(plan, RenderStyle(hide_unit_weights=True))
     assert full.count(">1</text>") == 3
     assert bare.count(">1</text>") == 0
     assert bare.count(">0.5</text>") == 2
@@ -100,8 +108,8 @@ def test_svg_unit_weight_suppression():
 
 def test_svg_is_deterministic():
     crossmap = country_fixture()
-    first = render_svg(layout_bipartite(crossmap), crossmap)
-    second = render_svg(layout_bipartite(crossmap), crossmap)
+    first = render_svg(layout_bipartite(crossmap))
+    second = render_svg(layout_bipartite(crossmap))
     assert first == second
 
 
@@ -110,7 +118,7 @@ def test_svg_escapes_and_truncates_labels():
         "x", "y",
         [("R&D", "this label is far too long to print in full", 1.0)],
     )
-    svg = render_svg(layout_bipartite(crossmap), crossmap)
+    svg = render_svg(layout_bipartite(crossmap))
     assert "R&amp;D" in svg
     assert "<title>this label is far too long to print in full</title>" in svg
     assert ">this label is far too l…</text>" in svg  # 23 chars + ellipsis
@@ -118,9 +126,10 @@ def test_svg_escapes_and_truncates_labels():
 
 def test_svg_rejects_foreign_plan():
     crossmap = country_fixture()
-    other = build_crossmap("x", "y", [("a", "b", 1.0)])
+    plan = layout_bipartite(crossmap)
+    dangling = PlannedEdge((0, 0), (1, len(plan.layers[1])), 1.0, "solid", "1")
     with pytest.raises(PlanMismatch):
-        render_svg(layout_bipartite(other), crossmap)
+        LayoutPlan(plan.layers, plan.edges + (dangling,))
     chain_plan = layout_chain(MultiStepChain((crossmap,)))
     assert len(chain_plan.layers) == 2  # single step still renders
     three = MultiStepChain(
@@ -132,8 +141,9 @@ def test_svg_rejects_foreign_plan():
             ),
         )
     )
-    with pytest.raises(PlanMismatch):
-        render_svg(layout_chain(three), crossmap)
+    three_plan = layout_chain(three)
+    assert len(three_plan.layers) == 3
+    assert minidom.parseString(render_svg(three_plan)).documentElement.tagName == "svg"
 
 
 def test_dot_output_shape():
@@ -185,7 +195,7 @@ def test_svg_encoding_counts_on_random_maps():
     rng = random.Random(5)
     for _ in range(20):
         crossmap = random_crossmap(rng, max_sources=10, max_targets=10)
-        svg = render_svg(layout_bipartite(crossmap), crossmap)
+        svg = render_svg(layout_bipartite(crossmap))
         splits = [s for s in crossmap.source_categories if crossmap.out_degree(s) > 1]
         dashed_edges = sum(crossmap.out_degree(s) for s in splits)
         assert svg.count("stroke-dasharray") == dashed_edges
@@ -257,5 +267,69 @@ def test_svg_with_tab_label_is_well_formed():
     from xml.dom import minidom
 
     crossmap = build_crossmap("x", "y", [("a\tb", "c", 1.0)])
-    svg = render_svg(layout_bipartite(crossmap), crossmap)
+    svg = render_svg(layout_bipartite(crossmap))
     assert minidom.parseString(svg).documentElement.tagName == "svg"
+
+
+@pytest.mark.parametrize(
+    "tail, head",
+    [
+        ((0, -1), (1, 0)),  # negative row
+        ((1, 0), (2, 2)),  # row past the end of its column
+        ((0, 0), (2, 0)),  # skips a column
+        ((1, 0), (0, 0)),  # runs backwards
+        ((2, 0), (3, 0)),  # head column does not exist
+    ],
+)
+def test_plan_rejects_edges_off_adjacent_placed_nodes(tail, head):
+    merge = build_crossmap(
+        "new", "blocs",
+        [("BEL", "BENELUX", 1.0), ("LUX", "BENELUX", 1.0), ("DEU", "DACH", 1.0), ("AUS", "DACH", 1.0)],
+    )
+    plan = layout_chain(MultiStepChain((country_fixture(), merge)))
+    assert [len(column) for column in plan.layers] == [4, 4, 2]
+    with pytest.raises(PlanMismatch):
+        LayoutPlan(plan.layers, (PlannedEdge(tail, head, 1.0, "solid", "1"),))
+
+
+def test_chain_plan_renders_every_column():
+    recode = country_fixture()
+    # CZE is a source of the second step that the first never reaches
+    merge = build_crossmap(
+        "new", "blocs",
+        [("BEL", "BENELUX", 1.0), ("LUX", "BENELUX", 1.0), ("DEU", "DACH", 1.0),
+         ("AUS", "DACH", 1.0), ("CZE", "DACH", 1.0)],
+    )
+    plan = layout_chain(MultiStepChain((recode, merge)))
+    svg = render_svg(plan)
+    document = minidom.parseString(svg).documentElement
+    assert document.getAttribute("width") == "800"  # two pads and two layer gaps
+    assert len(document.getElementsByTagName("circle")) == 11
+    assert len(document.getElementsByTagName("line")) == 10
+    opacity = {
+        text.lastChild.data: float(circle.getAttribute("fill-opacity"))
+        for circle, text in zip(
+            document.getElementsByTagName("circle"), document.getElementsByTagName("text")
+        )
+        if circle.hasAttribute("fill-opacity")
+    }
+    assert len(opacity) == 7  # every node outside the source column is shaded
+    assert opacity["CZE"] == 0.35  # in-degree 0 keeps the floor
+    assert opacity["DACH"] == 0.85  # in-degree 3
+    assert min(opacity.values()) >= 0.35
+
+
+def test_every_rendered_svg_parses():
+    rng = random.Random(11)
+    plans = []
+    for _ in range(25):
+        crossmap = random_crossmap(rng, max_sources=12, max_targets=12)
+        plans.extend(layout_bipartite(crossmap, ordering) for ordering in NodeOrdering)
+        plans.append(layout_chain(MultiStepChain(random_composable_pair(rng))))
+    for plan in plans:
+        for hide in (False, True):
+            document = minidom.parseString(render_svg(plan, RenderStyle(hide_unit_weights=hide)))
+            circles = document.getElementsByTagName("circle")
+            assert len(circles) == sum(len(column) for column in plan.layers)
+            assert len(document.getElementsByTagName("line")) == len(plan.edges)
+            assert all(float(c.getAttribute("fill-opacity") or 1) >= 0.35 for c in circles)
