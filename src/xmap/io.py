@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import Crossmap, CrossmapSummary, Link, build_crossmap, clean_label
+from .core import Crossmap, CrossmapSummary, Link, build_crossmap
 from .errors import (
     CrossmapError,
     DuplicateKey,
     DuplicateLink,
     DuplicateSourceCode,
     EmptyCell,
+    InvalidLabel,
     MissingColumn,
     NonFiniteValue,
     ParseError,
@@ -60,6 +62,21 @@ def _lines(text: str) -> list[str]:
     return [line.rstrip("\r") for line in lines]
 
 
+def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Check the header line, then yield (line number, stripped fields) for
+    each row, every row carrying as many fields as the header names."""
+    lines = _lines(text)
+    if not lines or lines[0] != header:
+        found = lines[0] if lines else ""
+        raise ParseError(1, f"expected header {header!r}, found {found!r}")
+    width = header.count(",") + 1
+    for number, line in enumerate(lines[1:], start=2):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width:
+            raise ParseError(number, f"expected {width} fields ({header}), found {len(fields)}")
+        yield number, fields
+
+
 # ── edge lists ────────────────────────────────────────────────────────────
 
 
@@ -72,17 +89,8 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     in line order; crossmap validation failures come after, with the line of
     the duplicate's second occurrence or of the violating source's last row.
     """
-    lines = _lines(text)
-    if not lines or lines[0] != EDGE_LIST_HEADER:
-        found = lines[0] if lines else ""
-        raise ParseError(1, f"expected header {EDGE_LIST_HEADER!r}, found {found!r}")
-
     links: list[Link] = []
-    for number, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 3:
-            raise ParseError(number, f"expected 3 fields (from,to,weight), found {len(fields)}")
-        raw_from, raw_to, raw_weight = fields
+    for number, (raw_from, raw_to, raw_weight) in _records(text, EDGE_LIST_HEADER):
         try:
             weight = float(raw_weight)
         except ValueError:
@@ -178,31 +186,28 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
 
 
 def read_series(text: str, taxonomy: str) -> IndexedSeries:
-    """Parse a "key,value" document into a series under the given taxonomy."""
-    lines = _lines(text)
-    if not lines or lines[0] != SERIES_HEADER:
-        found = lines[0] if lines else ""
-        raise ParseError(1, f"expected header {SERIES_HEADER!r}, found {found!r}")
+    """Parse a "key,value" document into a series under the given taxonomy.
+
+    Row-local defects (field count, a repeated key, value text) are reported
+    first, in line order; label and finiteness checks are left to
+    :class:`IndexedSeries`, and their errors get the key's line attached.
+    """
     entries: dict[str, float] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise ParseError(number, f"expected 2 fields (key,value), found {len(fields)}")
-        raw_key, raw_value = fields
-        try:
-            key = clean_label(raw_key)
-        except CrossmapError as err:
-            raise err.at_line(number)
+    for number, (key, raw_value) in _records(text, SERIES_HEADER):
         if key in entries:
             raise DuplicateKey(key).at_line(number)
         try:
-            value = float(raw_value)
+            entries[key] = float(raw_value)
         except ValueError:
             raise ParseError(number, f"invalid value {raw_value!r}") from None
-        if not math.isfinite(value):
-            raise NonFiniteValue(key, value).at_line(number)
-        entries[key] = value
-    return IndexedSeries(taxonomy, entries)
+
+    # Every row parsed and no key repeats, so entry i sits on line i + 2.
+    try:
+        return IndexedSeries(taxonomy, entries)
+    except InvalidLabel as err:
+        raise err.at_line(list(entries).index(err.text) + 2)
+    except NonFiniteValue as err:
+        raise err.at_line(list(entries).index(err.label) + 2)
 
 
 def write_series(series: IndexedSeries) -> str:

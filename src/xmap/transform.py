@@ -170,7 +170,9 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     ``b``; composition never renormalises, because renormalisation would
     invent weights the analyst never specified. Under that coverage condition
     the product of row-stochastic maps is row-stochastic, so the result passes
-    full validation. Composed links are ordered by (source, target).
+    full validation. A composed share that underflows to 0.0 is left out, as
+    a zero share is the absence of a link. Composed links are ordered by
+    (source, target).
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     weights: dict[tuple[str, str], float] = {}
@@ -180,7 +182,7 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
             weights[pair] = weights.get(pair, 0.0) + first.weight * second.weight
     # The exact sum never exceeds 1, but float accumulation can overshoot by
     # an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the result stays a legal weight.
-    links = [(s, u, min(w, 1.0)) for (s, u), w in sorted(weights.items())]
+    links = [(s, u, min(w, 1.0)) for (s, u), w in sorted(weights.items()) if w > 0.0]
     return build_crossmap(a.source_taxonomy, b.target_taxonomy, links)
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from html import escape
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import Crossmap, RelationKind, classify_source, classify_target
 from .errors import PlanMismatch
@@ -108,6 +108,10 @@ def _mean(values: list[int], fallback: float) -> float:
     return sum(values) / len(values) if values else fallback
 
 
+def _rows(order: Sequence[str]) -> dict[str, int]:
+    return {label: row for row, label in enumerate(order)}
+
+
 def _is_split(crossmap: Crossmap, source: str) -> bool:
     return classify_source(crossmap, source) is RelationKind.SPLIT
 
@@ -129,6 +133,33 @@ def _edges(
     )
 
 
+def _place(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> LayoutPlan:
+    """Build the plan of columns ``orders`` (top to bottom) joined by ``steps``.
+
+    The one place a node's kind is decided: ``classify_source`` of the first
+    step in column 0, ``classify_target`` of the step before in later columns.
+    """
+    rows = [_rows(order) for order in orders]
+    reached = [set(step.target_categories) for step in steps]
+
+    def kind(column: int, label: str) -> RelationKind:
+        if column == 0:
+            return classify_source(steps[0], label)
+        if label in reached[column - 1]:
+            return classify_target(steps[column - 1], label)
+        return RelationKind.UNIQUE  # a source of the next step that this step never reaches
+
+    layers = tuple(
+        tuple(
+            PlacedNode(label, column, row, kind(column, label).value)
+            for row, label in enumerate(order)
+        )
+        for column, order in enumerate(orders)
+    )
+    edges = (_edges(step, gap, rows[gap], rows[gap + 1]) for gap, step in enumerate(steps))
+    return LayoutPlan(layers, tuple(edge for gap_edges in edges for edge in gap_edges))
+
+
 def layout_bipartite(
     crossmap: Crossmap,
     ordering: NodeOrdering = NodeOrdering.SPLITS_FIRST,
@@ -139,54 +170,30 @@ def layout_bipartite(
     themselves), one-to-one sources below; targets follow the barycenter of
     their connected source rows, ties by label. target-indegree: targets by
     in-degree descending then label; sources by barycenter. input-order: both
-    columns in first-appearance order.
+    columns in first-appearance order. Kinds and edges come from ``_place``,
+    as in :func:`layout_chain`.
     """
     sources = list(crossmap.source_categories)
     targets = list(crossmap.target_categories)
 
     if ordering is NodeOrdering.SPLITS_FIRST:
-        sources = sorted(sources, key=lambda s: not _is_split(crossmap, s))
-        src_row = {label: row for row, label in enumerate(sources)}
-        targets = sorted(
-            targets,
-            key=lambda t: (
-                _mean([src_row[l.source] for l in crossmap.links_into(t)], 0.0),
-                t,
-            ),
-        )
+        sources.sort(key=lambda s: not _is_split(crossmap, s))
+        src_row = _rows(sources)
+        targets.sort(key=lambda t: (_mean([src_row[l.source] for l in crossmap.links_into(t)], 0.0), t))
     elif ordering is NodeOrdering.TARGET_INDEGREE:
-        targets = sorted(targets, key=lambda t: (-crossmap.in_degree(t), t))
-        tgt_row = {label: row for row, label in enumerate(targets)}
-        sources = sorted(
-            sources,
-            key=lambda s: (
-                _mean([tgt_row[l.target] for l in crossmap.links_from(s)], 0.0),
-                s,
-            ),
-        )
+        targets.sort(key=lambda t: (-crossmap.in_degree(t), t))
+        tgt_row = _rows(targets)
+        sources.sort(key=lambda s: (_mean([tgt_row[l.target] for l in crossmap.links_from(s)], 0.0), s))
     # INPUT_ORDER keeps first-appearance order on both columns.
 
-    src_row = {label: row for row, label in enumerate(sources)}
-    tgt_row = {label: row for row, label in enumerate(targets)}
-    layers = (
-        tuple(
-            PlacedNode(label, 0, src_row[label], classify_source(crossmap, label).value)
-            for label in sources
-        ),
-        tuple(
-            PlacedNode(label, 1, tgt_row[label], classify_target(crossmap, label).value)
-            for label in targets
-        ),
-    )
-    return LayoutPlan(layers, tuple(_edges(crossmap, 0, src_row, tgt_row)))
+    return _place((crossmap,), (sources, targets))
 
 
 def count_crossings(orders: list[list[str]], steps: tuple[Crossmap, ...]) -> int:
     """Pairwise edge-crossing count across all adjacent column pairs."""
     total = 0
     for gap, step in enumerate(steps):
-        tail_row = {label: row for row, label in enumerate(orders[gap])}
-        head_row = {label: row for row, label in enumerate(orders[gap + 1])}
+        tail_row, head_row = _rows(orders[gap]), _rows(orders[gap + 1])
         spans = [(tail_row[l.source], head_row[l.target]) for l in step.links]
         for i in range(len(spans)):
             for j in range(i + 1, len(spans)):
@@ -196,78 +203,49 @@ def count_crossings(orders: list[list[str]], steps: tuple[Crossmap, ...]) -> int
     return total
 
 
+def _sweep(order: list[str], neighbour_order: list[str], neighbours: dict[str, list[str]]) -> None:
+    """Sort ``order`` in place by the mean row of each label's neighbours in
+    ``neighbour_order``; a label without neighbours keys on its current row."""
+    there, here = _rows(neighbour_order), _rows(order)
+    order.sort(
+        key=lambda label: _mean([there[n] for n in neighbours.get(label, ())], float(here[label]))
+    )
+
+
 def layout_chain(chain: MultiStepChain, sweeps: int = 4) -> LayoutPlan:
     """Place a multi-step chain on one column per taxonomy layer.
 
     Runs left-to-right then right-to-left barycenter sweeps per iteration,
     keeping the best ordering seen (the initial first-appearance ordering
     included), so the final crossing count never exceeds the input order's.
+    Kinds and edges come from ``_place``, as in :func:`layout_bipartite`.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     steps = chain.steps
 
-    columns: list[list[str]] = [list(steps[0].source_categories)]
+    orders: list[list[str]] = [list(steps[0].source_categories)]
     for index, step in enumerate(steps):
         # Sources of the next step that nothing maps into still occupy a row.
         onward = steps[index + 1].source_categories if index + 1 < len(steps) else ()
-        columns.append(list(dict.fromkeys(step.target_categories + onward)))
+        orders.append(list(dict.fromkeys(step.target_categories + onward)))
 
     into = [{t: [l.source for l in s.links_into(t)] for t in s.target_categories} for s in steps]
     out_of = [{h: [l.target for l in s.links_from(h)] for h in s.source_categories} for s in steps]
 
-    orders = [list(column) for column in columns]
-    best_orders = [list(column) for column in columns]
+    best_orders = [list(order) for order in orders]
     best_crossings = count_crossings(orders, steps)
-
     for _ in range(sweeps):
         for j in range(1, len(orders)):
-            prev_row = {label: row for row, label in enumerate(orders[j - 1])}
-            here_row = {label: row for row, label in enumerate(orders[j])}
-            orders[j].sort(
-                key=lambda label: _mean(
-                    [prev_row[s] for s in into[j - 1].get(label, [])],
-                    float(here_row[label]),
-                )
-            )
+            _sweep(orders[j], orders[j - 1], into[j - 1])
         for j in range(len(orders) - 2, -1, -1):
-            next_row = {label: row for row, label in enumerate(orders[j + 1])}
-            here_row = {label: row for row, label in enumerate(orders[j])}
-            step_out = out_of[j] if j < len(out_of) else {}
-            orders[j].sort(
-                key=lambda label: _mean(
-                    [next_row[t] for t in step_out.get(label, [])],
-                    float(here_row[label]),
-                )
-            )
+            _sweep(orders[j], orders[j + 1], out_of[j])
         crossings = count_crossings(orders, steps)
         if crossings < best_crossings:
             best_crossings = crossings
             best_orders = [list(order) for order in orders]
 
-    orders = best_orders
-    layers: list[tuple[PlacedNode, ...]] = []
-    rows: list[dict[str, int]] = []
-    for col_index, order in enumerate(orders):
-        row_of = {label: row for row, label in enumerate(order)}
-        rows.append(row_of)
-        placed = []
-        for label in order:
-            if col_index == 0:
-                kind = classify_source(steps[0], label)
-            elif label in into[col_index - 1]:
-                kind = classify_target(steps[col_index - 1], label)
-            else:  # a source of the next step that this step never reaches
-                kind = RelationKind.UNIQUE
-            placed.append(PlacedNode(label, col_index, row_of[label], kind.value))
-        layers.append(tuple(placed))
-
-    edges = tuple(
-        edge
-        for gap, step in enumerate(steps)
-        for edge in _edges(step, gap, rows[gap], rows[gap + 1])
-    )
-    return LayoutPlan(tuple(layers), edges)
+    return _place(steps, best_orders)
 
 
 # ── rendering ─────────────────────────────────────────────────────────────
@@ -297,7 +275,9 @@ def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
     """Render a plan of any number of columns as an SVG 1.1 document.
 
     Reads the plan alone: column 0 is drawn as sources, later columns are
-    shaded by how many plan edges reach each node. Element order is fixed
+    shaded by how many plan edges reach each node. Labels sit left of the
+    first column, right of the last, and centred above the nodes of any
+    column between, clear of the edges leaving it. Element order is fixed
     (nodes by column then row, edges in plan order, weight labels last) and
     all numbers use a fixed format, so rendering is byte-identical across
     runs. Weight labels stagger above/below edge midpoints on alternate edges.
@@ -308,8 +288,9 @@ def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
         return (_PAD_X + column * style.layer_spacing, _PAD_Y + row * style.node_spacing)
 
     in_degree = Counter(edge.head for edge in plan.edges)
+    last = len(plan.layers) - 1
     max_rows = max((len(column) for column in plan.layers), default=0)
-    width = 2 * _PAD_X + (len(plan.layers) - 1) * style.layer_spacing
+    width = 2 * _PAD_X + last * style.layer_spacing
     height = 2 * _PAD_Y + (max_rows - 1) * style.node_spacing
 
     parts: list[str] = [
@@ -322,20 +303,22 @@ def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
     for column in plan.layers:
         for node in sorted(column, key=lambda node: node.y):
             x, y = position(node.x, node.y)
-            shade = ""
+            shade, label_y = "", y + 4
             if node.x == 0:
                 split = node.style_class == RelationKind.SPLIT.value
                 face = ' font-style="italic"' if split else ' font-weight="bold"'
                 fill, label_x, attrs = _SOURCE_FILL, x - 2 * _NODE_RADIUS, f' text-anchor="end"{face}'
             else:
                 fill, label_x, attrs = _TARGET_FILL, x + 2 * _NODE_RADIUS, ' text-anchor="start"'
+                if node.x < last:  # edges leave this column on the right
+                    label_x, label_y, attrs = x, y - 10, ' text-anchor="middle"'
                 if style.shade_by_in_degree:
                     shade = f' fill-opacity="{_coord(target_opacity(in_degree[node.x, node.y]))}"'
             parts.append(
                 f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
                 f'fill="{fill}"{shade}/>'
             )
-            parts.append(_label_markup(node.label, label_x, y + 4, attrs))
+            parts.append(_label_markup(node.label, label_x, label_y, attrs))
 
     weight_labels: list[str] = []
     for index, edge in enumerate(plan.edges):

@@ -143,6 +143,20 @@ def test_compose_with_tiny_weight_validates(tmp_path):
     assert out == "valid: 1 sources, 2 targets, 2 links, 1 splits, 0 aggregates\n"
 
 
+def test_compose_with_underflowing_share_validates(tmp_path):
+    first = tmp_path / "first.csv"
+    first.write_text("from,to,weight\nA,P,1\nB,P,1e-200\nB,Q,1\n")
+    second = tmp_path / "second.csv"
+    second.write_text("from,to,weight\nP,U,1e-200\nP,V,1\nQ,V,1\n")
+    composed = tmp_path / "composed.csv"
+    code, _, err = invoke("compose", str(first), str(second), "--out", str(composed))
+    assert code == 0, err
+    assert composed.read_text() == "from,to,weight\nA,U,1e-200\nA,V,1\nB,V,1\n"
+    code, out, err = invoke("validate", str(composed))
+    assert code == 0, err
+    assert out == "valid: 2 sources, 2 targets, 3 links, 1 splits, 1 aggregates\n"
+
+
 def test_transform_overflow_is_exit_1(tmp_path):
     edges = tmp_path / "merge.csv"
     edges.write_text("from,to,weight\na,t,1\nb,t,1\n")

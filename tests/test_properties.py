@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from xmap import (
     Crossmap,
+    CrossmapError,
     DuplicateLink,
     IndexedSeries,
     Link,
@@ -15,7 +16,9 @@ from xmap import (
     apply,
     build_crossmap,
     compose,
+    import_crosswalk,
     invert,
+    read_crosswalk_table,
     read_edge_list,
     read_series,
     summarize,
@@ -70,6 +73,12 @@ def crossmaps_from(draw, sources: tuple[str, ...], source_taxonomy: str) -> Cros
     return build_crossmap(source_taxonomy, "gamma", links)
 
 
+@st.composite
+def composed_crossmaps(draw) -> Crossmap:
+    first = draw(crossmaps())
+    return compose(first, draw(crossmaps_from(first.target_categories, first.target_taxonomy)))
+
+
 def shuffled(data, crossmap: Crossmap) -> Crossmap:
     links = data.draw(st.permutations(crossmap.links))
     return Crossmap(crossmap.source_taxonomy, crossmap.target_taxonomy, tuple(links))
@@ -116,7 +125,7 @@ def test_crosswalk_apply_is_exact_relabel_group_sum(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(crossmaps())
+@given(st.one_of(crossmaps(), composed_crossmaps()))
 def test_edge_list_round_trip(crossmap):
     text = write_edge_list(crossmap)
     back = read_edge_list(text, crossmap.source_taxonomy, crossmap.target_taxonomy)
@@ -230,3 +239,47 @@ def test_link_order_never_changes_results(data):
         compose(first, second)
     )
     assert summarize(first_shuffled) == summarize(first)
+
+
+# Reader fuzz: documents built from the pieces parsers trip over --
+# separators, quotes, line breaks, C0 controls, a byte-order mark, and number
+# spellings that overflow, underflow or are not finite. Rows mostly match
+# their header's width, so the fuzz gets past the field-count check.
+_FUZZ_TOKENS = st.sampled_from(
+    ["", " ", ",", '"', "\r", "\n", "\r\n", "\t", "\x00", "\x01", "\x1f", "\ufeff",
+     "a", "b", "004", "0", "1", "0.5", "-1", "nan", "inf", "-inf", "1e-400", "1e309"]
+)
+_FUZZ_FIELD = st.one_of(
+    st.sampled_from(["a", "b", "c", "0.5", "1"]), st.lists(_FUZZ_TOKENS, max_size=3).map("".join)
+)
+
+
+@st.composite
+def fuzz_documents(draw, header: str) -> str:
+    header = draw(st.sampled_from([header] * 4 + ["", "\ufeff" + header, "a,b,c,d"]))
+    width = draw(st.sampled_from([header.count(",") + 1] * 4 + [1, 2, 3, 4]))
+    rows = draw(st.lists(st.lists(_FUZZ_FIELD, min_size=width, max_size=width), max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    body = newline.join([header, *(",".join(row) for row in rows)])
+    return body + draw(st.sampled_from(["", newline]))
+
+
+def _import_first_pair(text: str) -> None:
+    doc = read_crosswalk_table(text)
+    import_crosswalk(doc, doc.columns[0], doc.columns[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_only_crossmap_errors_escape_the_readers(data):
+    readers = {
+        "from,to,weight": lambda text: read_edge_list(text, "x", "y"),
+        "key,value": lambda text: read_series(text, "x"),
+        "from,to,name": _import_first_pair,
+    }
+    for header, read in readers.items():
+        text = data.draw(st.one_of(fuzz_documents(header), st.text(max_size=40)), label=header)
+        try:
+            read(text)
+        except CrossmapError:
+            pass

@@ -137,6 +137,16 @@ def test_compose_clamps_float_overshoot():
     assert fused.links[0].weight == 1.0
 
 
+def test_compose_leaves_out_shares_that_underflow_to_zero():
+    # B -> P -> U carries 1e-200 * 1e-200, which is 0.0 in floats: no link
+    a = build_crossmap("x", "m", [("A", "P", 1.0), ("B", "P", 1e-200), ("B", "Q", 1.0)])
+    b = build_crossmap("m", "y", [("P", "U", 1e-200), ("P", "V", 1.0), ("Q", "V", 1.0)])
+    fused = compose(a, b)
+    assert [link.pair for link in fused.links] == [("A", "U"), ("A", "V"), ("B", "V")]
+    assert fused.links_from("B")[0].weight == 1.0
+    assert fused.links_from("A")[0].weight == 1e-200
+
+
 def test_apply_overflow_is_a_domain_error():
     merge = build_crossmap("x", "y", [("a", "t", 1.0), ("b", "t", 1.0)])
     with pytest.raises(CrossmapError) as caught:

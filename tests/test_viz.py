@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from xml.dom import minidom
@@ -333,3 +334,71 @@ def test_every_rendered_svg_parses():
             assert len(circles) == sum(len(column) for column in plan.layers)
             assert len(document.getElementsByTagName("line")) == len(plan.edges)
             assert all(float(c.getAttribute("fill-opacity") or 1) >= 0.35 for c in circles)
+
+
+# sha256 of render_svg(layout_bipartite(m, ordering), RenderStyle(hide_unit_weights=hide))
+# per (ordering, hide), and of render_dot(m), recorded before the layouts
+# shared one placement step; any change to two-layer output bytes shows here.
+GOLDEN_SVG = {
+    "country": {
+        ("splits-first", False): "bc08ae40c6525298be0384b852b65d0b6f529d5a24e82b62a584b67f5a942d8d",
+        ("splits-first", True): "a4afd1df61452a57a4a76070b2663c22af03e82e6b1995c71ce301d9200de8b3",
+        ("target-indegree", False): "39e56f86ade30f02963e4ce192330af625a08a833e1c8b2a3a4b5ae2c23ea6db",
+        ("target-indegree", True): "53ef041a7753e9aeec1dbd279c42c6d65d97ac1326f1003998513a2484e99ba7",
+        ("input-order", False): "bc08ae40c6525298be0384b852b65d0b6f529d5a24e82b62a584b67f5a942d8d",
+        ("input-order", True): "a4afd1df61452a57a4a76070b2663c22af03e82e6b1995c71ce301d9200de8b3",
+    },
+    "random": {
+        ("splits-first", False): "a575059ade431c9e583cd7119df54e04d027175ed848e63843a859753e99c628",
+        ("splits-first", True): "4b4a03234c32d626f0ff02960f5e6de05dcbef58e8a61105d2f5fee736f3a18a",
+        ("target-indegree", False): "9e44139150d9f8142d91b47af1b9957d0eeeff705352434c2c842bbf2b9868cf",
+        ("target-indegree", True): "b3d1fa266a1179f157861a00ce99cc2efa17575093d1531b80edc8fe7ef7a44a",
+        ("input-order", False): "9deb43a5261901de947e1f7c400280cc2eb48399722b00e19d999ad6f4cd4512",
+        ("input-order", True): "2cdf86deeef258a71f57bea5dda4d1bdd33e697921a3c5fc3f685037af789bdc",
+    },
+}
+GOLDEN_DOT = {
+    "country": "8931a1901f9f049378ee201a871a9e2a955e7b44502efbce82f4b9bfdb3836da",
+    "random": "b4ed4e8d730c6ea2fe13622b6359290a43e4b4c6523057b0bebfbce369d611c3",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, crossmap",
+    [
+        ("country", country_fixture()),
+        ("random", random_crossmap(random.Random(2024), max_sources=30, max_targets=30)),
+    ],
+    ids=["country", "random"],
+)
+def test_two_layer_output_bytes_are_pinned(name, crossmap):
+    for ordering in NodeOrdering:
+        for hide in (False, True):
+            svg = render_svg(layout_bipartite(crossmap, ordering), RenderStyle(hide_unit_weights=hide))
+            assert sha256(svg) == GOLDEN_SVG[name][ordering.value, hide], (ordering, hide)
+    assert sha256(render_dot(crossmap)) == GOLDEN_DOT[name]
+
+
+def test_middle_column_labels_sit_above_their_nodes():
+    merge = build_crossmap(
+        "new", "blocs",
+        [("BEL", "BENELUX", 1.0), ("LUX", "BENELUX", 1.0), ("DEU", "DACH", 1.0), ("AUS", "DACH", 1.0)],
+    )
+    plan = layout_chain(MultiStepChain((country_fixture(), merge)))
+    document = minidom.parseString(render_svg(plan))
+    middle_x = document.getElementsByTagName("circle")[len(plan.layers[0])].getAttribute("cx")
+    anchors: dict[str, list[str]] = {}
+    for circle, text in zip(
+        document.getElementsByTagName("circle"), document.getElementsByTagName("text")
+    ):
+        column = "middle" if circle.getAttribute("cx") == middle_x else "outer"
+        anchors.setdefault(column, []).append(text.getAttribute("text-anchor"))
+        if column == "middle":
+            assert text.getAttribute("x") == circle.getAttribute("cx")
+            assert float(text.getAttribute("y")) < float(circle.getAttribute("cy"))
+    assert anchors["middle"] == ["middle"] * len(plan.layers[1])
+    assert "middle" not in anchors["outer"]  # first and last columns keep their anchors
