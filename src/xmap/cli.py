@@ -11,13 +11,14 @@ malformed input, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import logging
 import sys
 from pathlib import PurePath
 from typing import NoReturn, TextIO
 
 from .core import Crossmap, summarize
-from .errors import CrossmapError, DocumentError
+from .errors import CrossmapError, DocumentError, ParseError
 from .io import (
     import_crosswalk,
     read_crosswalk_table,
@@ -28,7 +29,7 @@ from .io import (
     write_summary_json,
 )
 from .transform import apply, compose
-from .viz import NodeOrdering, RenderStyle, layout_bipartite, render_dot, render_svg
+from .viz import NodeOrdering, layout_bipartite, render_dot, render_svg
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -49,9 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        # Drop the byte-order mark that spreadsheet exports prepend.
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
 
 
 def _load_map(path: str, source_name: str | None, target_name: str | None) -> Crossmap:
@@ -88,7 +93,7 @@ def _cmd_render(args: argparse.Namespace) -> str:
     if args.format == "dot":
         return render_dot(crossmap)
     plan = layout_bipartite(crossmap, NodeOrdering(args.order))
-    return render_svg(plan, RenderStyle(hide_unit_weights=args.hide_unit_weights))
+    return render_svg(plan, hide_unit_weights=args.hide_unit_weights)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> str:

@@ -39,8 +39,9 @@ from .errors import (
 WEIGHT_SUM_TOLERANCE = 1e-6
 
 _BANNED_CHARS = {",": "comma", "\n": "newline", "\r": "carriage return", '"': "double quote"}
-# The named characters above plus every C0 control except tab.
-_BANNED_PATTERN = re.compile('[,"\x00-\x08\x0a-\x1f]')
+# The named characters above, every C0 control except tab, and the rest of
+# what XML 1.0 cannot carry: surrogates and the non-characters U+FFFE, U+FFFF.
+_BANNED_PATTERN = re.compile('[,"\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]')
 
 
 def clean_label(text: str) -> str:
@@ -49,7 +50,8 @@ def clean_label(text: str) -> str:
     Labels are case-sensitive identifiers ("BLX", "111111", "004"); they are
     never numerically interpreted. Comma, newline, and double-quote characters
     are banned so CSV emission stays unambiguous without quoting; the other C0
-    control characters except tab are banned because XML cannot carry them.
+    control characters except tab, the surrogates U+D800 to U+DFFF and the
+    non-characters U+FFFE and U+FFFF are banned because XML cannot carry them.
     """
     label = text.strip()
     if not label:
@@ -59,7 +61,8 @@ def clean_label(text: str) -> str:
         for ch, name in _BANNED_CHARS.items():
             if ch in label:
                 raise InvalidLabel(label, f"contains a {name} character")
-        raise InvalidLabel(label, f"contains control character {banned.group()!r}")
+        kind = "control" if banned.group() < " " else "non-XML"
+        raise InvalidLabel(label, f"contains {kind} character {banned.group()!r}")
     return label
 
 
@@ -241,8 +244,8 @@ class CrossmapSummary:
     n_splits: int
     n_aggregates: int
     max_in_degree: int
-    most_synthetic_targets: tuple[tuple[str, int], ...] = field(default=())
-    is_crosswalk: bool = False
+    most_synthetic_targets: tuple[tuple[str, int], ...]
+    is_crosswalk: bool
 
 
 def summarize(crossmap: Crossmap) -> CrossmapSummary:

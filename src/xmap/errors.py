@@ -92,8 +92,12 @@ class UnknownCategory(CrossmapError):
 
 
 class TaxonomyMismatch(CrossmapError):
-    def __init__(self, expected: str, got: str, role: str = "source"):
-        super().__init__(f"expected {role} taxonomy {expected!r}, got {got!r}")
+    """A source taxonomy other than ``expected``: a series whose taxonomy is
+    not its crossmap's source taxonomy, or a chain step whose source taxonomy
+    is not the target taxonomy of the step before."""
+
+    def __init__(self, expected: str, got: str):
+        super().__init__(f"expected source taxonomy {expected!r}, got {got!r}")
         self.expected = expected
         self.got = got
 

@@ -77,6 +77,17 @@ def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
         yield number, fields
 
 
+def _number(text: str, line: int, what: str) -> float:
+    """``float(text)`` for number text in the form writers emit: ASCII without
+    the digit-group underscores and non-ASCII digits that float() also takes."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ParseError(line, f"invalid {what} {text!r}")
+
+
 # ── edge lists ────────────────────────────────────────────────────────────
 
 
@@ -91,10 +102,7 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     """
     links: list[Link] = []
     for number, (raw_from, raw_to, raw_weight) in _records(text, EDGE_LIST_HEADER):
-        try:
-            weight = float(raw_weight)
-        except ValueError:
-            raise ParseError(number, f"invalid weight {raw_weight!r}") from None
+        weight = _number(raw_weight, number, "weight")
         if not math.isfinite(weight):
             raise ParseError(number, f"invalid weight {raw_weight!r}")
         try:
@@ -196,10 +204,7 @@ def read_series(text: str, taxonomy: str) -> IndexedSeries:
     for number, (key, raw_value) in _records(text, SERIES_HEADER):
         if key in entries:
             raise DuplicateKey(key).at_line(number)
-        try:
-            entries[key] = float(raw_value)
-        except ValueError:
-            raise ParseError(number, f"invalid value {raw_value!r}") from None
+        entries[key] = _number(raw_value, number, "value")
 
     # Every row parsed and no key repeats, so entry i sits on line i + 2.
     try:

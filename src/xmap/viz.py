@@ -32,8 +32,11 @@ DASHED = "dashed"
 _MAX_LABEL_CHARS = 24
 _PAD_X = 160.0
 _PAD_Y = 40.0
+_NODE_SPACING = 44.0
+_LAYER_SPACING = 240.0
 _NODE_RADIUS = 6.0
 _EDGE_TRIM = 9.0
+_SWEEPS = 4  # barycenter iterations of layout_chain, each one pass each way
 
 _SOURCE_FILL = "#33415c"
 _TARGET_FILL = "#1f6f8b"
@@ -85,20 +88,6 @@ class LayoutPlan:
         for edge in self.edges:
             if edge.head[0] != edge.tail[0] + 1 or not (edge.tail in placed and edge.head in placed):
                 raise PlanMismatch(f"edge {edge.tail} -> {edge.head} joins no adjacent placed nodes")
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    """Rendering switches and geometry, in abstract (pixel) units."""
-
-    hide_unit_weights: bool = False
-    shade_by_in_degree: bool = True
-    node_spacing: float = 44.0
-    layer_spacing: float = 240.0
-
-    def __post_init__(self) -> None:
-        if self.node_spacing <= 0 or self.layer_spacing <= 0:
-            raise ValueError("node_spacing and layer_spacing must be positive")
 
 
 # ── layout ────────────────────────────────────────────────────────────────
@@ -212,16 +201,14 @@ def _sweep(order: list[str], neighbour_order: list[str], neighbours: dict[str, l
     )
 
 
-def layout_chain(chain: MultiStepChain, sweeps: int = 4) -> LayoutPlan:
+def layout_chain(chain: MultiStepChain) -> LayoutPlan:
     """Place a multi-step chain on one column per taxonomy layer.
 
-    Runs left-to-right then right-to-left barycenter sweeps per iteration,
-    keeping the best ordering seen (the initial first-appearance ordering
+    Runs four iterations of a left-to-right then a right-to-left barycenter
+    sweep, keeping the best ordering seen (the initial first-appearance ordering
     included), so the final crossing count never exceeds the input order's.
     Kinds and edges come from ``_place``, as in :func:`layout_bipartite`.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be at least 1")
     steps = chain.steps
 
     orders: list[list[str]] = [list(steps[0].source_categories)]
@@ -235,7 +222,7 @@ def layout_chain(chain: MultiStepChain, sweeps: int = 4) -> LayoutPlan:
 
     best_orders = [list(order) for order in orders]
     best_crossings = count_crossings(orders, steps)
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         for j in range(1, len(orders)):
             _sweep(orders[j], orders[j - 1], into[j - 1])
         for j in range(len(orders) - 2, -1, -1):
@@ -271,27 +258,28 @@ def _label_markup(label: str, x: float, y: float, attrs: str) -> str:
     return f'<text x="{_coord(x)}" y="{_coord(y)}"{attrs}>{title}{escape(shown, quote=False)}</text>'
 
 
-def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
+def _position(column: int, row: int) -> tuple[float, float]:
+    return (_PAD_X + column * _LAYER_SPACING, _PAD_Y + row * _NODE_SPACING)
+
+
+def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     """Render a plan of any number of columns as an SVG 1.1 document.
 
     Reads the plan alone: column 0 is drawn as sources, later columns are
-    shaded by how many plan edges reach each node. Labels sit left of the
-    first column, right of the last, and centred above the nodes of any
-    column between, clear of the edges leaving it. Element order is fixed
-    (nodes by column then row, edges in plan order, weight labels last) and
-    all numbers use a fixed format, so rendering is byte-identical across
-    runs. Weight labels stagger above/below edge midpoints on alternate edges.
+    always shaded by how many plan edges reach each node. The geometry is
+    fixed: columns 240 apart, rows 44 apart. Labels sit left of the first
+    column, right of the last, and centred above the nodes of any column
+    between, clear of the edges leaving it. Element order is fixed (nodes by
+    column then row, edges in plan order, weight labels last) and all numbers
+    use a fixed format, so rendering is byte-identical across runs. Weight
+    labels stagger above/below edge midpoints on alternate edges;
+    ``hide_unit_weights`` leaves out the labels of weight-1 edges.
     """
-    style = style or RenderStyle()
-
-    def position(column: int, row: int) -> tuple[float, float]:
-        return (_PAD_X + column * style.layer_spacing, _PAD_Y + row * style.node_spacing)
-
     in_degree = Counter(edge.head for edge in plan.edges)
     last = len(plan.layers) - 1
     max_rows = max((len(column) for column in plan.layers), default=0)
-    width = 2 * _PAD_X + last * style.layer_spacing
-    height = 2 * _PAD_Y + (max_rows - 1) * style.node_spacing
+    width = 2 * _PAD_X + last * _LAYER_SPACING
+    height = 2 * _PAD_Y + (max_rows - 1) * _NODE_SPACING
 
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -302,7 +290,7 @@ def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
 
     for column in plan.layers:
         for node in sorted(column, key=lambda node: node.y):
-            x, y = position(node.x, node.y)
+            x, y = _position(node.x, node.y)
             shade, label_y = "", y + 4
             if node.x == 0:
                 split = node.style_class == RelationKind.SPLIT.value
@@ -312,8 +300,7 @@ def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
                 fill, label_x, attrs = _TARGET_FILL, x + 2 * _NODE_RADIUS, ' text-anchor="start"'
                 if node.x < last:  # edges leave this column on the right
                     label_x, label_y, attrs = x, y - 10, ' text-anchor="middle"'
-                if style.shade_by_in_degree:
-                    shade = f' fill-opacity="{_coord(target_opacity(in_degree[node.x, node.y]))}"'
+                shade = f' fill-opacity="{_coord(target_opacity(in_degree[node.x, node.y]))}"'
             parts.append(
                 f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
                 f'fill="{fill}"{shade}/>'
@@ -322,14 +309,14 @@ def render_svg(plan: LayoutPlan, style: RenderStyle | None = None) -> str:
 
     weight_labels: list[str] = []
     for index, edge in enumerate(plan.edges):
-        (x1, y1), (x2, y2) = position(*edge.tail), position(*edge.head)
+        (x1, y1), (x2, y2) = _position(*edge.tail), _position(*edge.head)
         dashed = ' stroke-dasharray="6,4"' if edge.line_style == DASHED else ""
         parts.append(
             f'<line x1="{_coord(x1 + _EDGE_TRIM)}" y1="{_coord(y1)}" '
             f'x2="{_coord(x2 - _EDGE_TRIM)}" y2="{_coord(y2)}" '
             f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{dashed}/>'
         )
-        if style.hide_unit_weights and edge.weight == 1.0:
+        if hide_unit_weights and edge.weight == 1.0:
             continue
         mid_y = (y1 + y2) / 2 + (-6.0 if index % 2 == 0 else 14.0)
         weight_labels.append(

@@ -207,6 +207,15 @@ def test_render_rejects_unknown_order(table2):
     assert "usage:" in err
 
 
+def test_render_rejects_labels_xml_cannot_carry(tmp_path):
+    path = tmp_path / "noncharacter.csv"
+    path.write_text("from,to,weight\na\uffff,b,1\n", encoding="utf-8")
+    code, out, err = invoke("render", str(path))
+    assert code == 1
+    assert out == ""
+    assert "non-XML character '\\uffff' (line 2)" in err
+
+
 def test_import_crosswalk(tmp_path):
     table = tmp_path / "iso.csv"
     table.write_text(ISO_TABLE_TEXT)
@@ -267,3 +276,19 @@ def test_cli_import_loads_no_network_or_sax_modules():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["validate", "transform", "import-crosswalk"])
+def test_non_utf8_file_is_exit_2_naming_its_line(command, table2, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + b"from,to,weight\r\na,b,1\r\n\xff\xfe,c,1\r\n")
+    argv = {
+        "validate": ["validate", str(path)],
+        "transform": ["transform", "--map", table2, "--data", str(path)],
+        "import-crosswalk": ["import-crosswalk", str(path), "--from", "from", "--to", "to"],
+    }[command]
+    code, out, err = invoke(*argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: parse error: not UTF-8 text (line 3)\n"
+    assert "Traceback" not in err

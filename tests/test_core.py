@@ -185,6 +185,18 @@ def test_clean_label_rejects_c0_controls(control):
         clean_label(f"a{control}b")
 
 
+@pytest.mark.parametrize(
+    "char", ["\ufffe", "\uffff", "\ud800", "\udbff", "\udc00", "\udfff"],
+    ids=["U+FFFE", "U+FFFF", "U+D800", "U+DBFF", "U+DC00", "U+DFFF"],
+)
+def test_clean_label_rejects_what_xml_cannot_carry(char):
+    with pytest.raises(InvalidLabel) as caught:
+        clean_label(f"a{char}b")
+    assert f"non-XML character {char!r}" in str(caught.value)
+    with pytest.raises(InvalidLabel):
+        build_crossmap("x", "y", [("a", f"b{char}", 1.0)])
+
+
 def test_clean_label_keeps_inner_tab():
     assert clean_label("a\tb") == "a\tb"
 

@@ -82,6 +82,23 @@ def test_read_edge_list_bad_weight_text(weight):
     assert caught.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0_5", "１", "1_000", "７", "١٢"],
+    ids=["underscore", "fullwidth-1", "digit-groups", "fullwidth-7", "arabic-indic-12"],
+)
+def test_readers_take_only_ascii_number_text(text):
+    # float() also takes digit-group underscores and non-ASCII digits
+    with pytest.raises(ParseError) as caught:
+        read_edge_list(f"from,to,weight\na,b,1\nc,d,{text}\n", "x", "y")
+    assert caught.value.line == 3
+    assert f"invalid weight {text!r}" in str(caught.value)
+    with pytest.raises(ParseError) as caught:
+        read_series(f"key,value\na,1\nb,{text}\n", "x")
+    assert caught.value.line == 3
+    assert f"invalid value {text!r}" in str(caught.value)
+
+
 def test_read_edge_list_weight_range_with_line():
     with pytest.raises(WeightOutOfRange) as caught:
         read_edge_list("from,to,weight\nBLX,BEL,0\n", "x", "y")

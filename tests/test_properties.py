@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import math
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,26 +14,32 @@ from xmap import (
     DuplicateLink,
     IndexedSeries,
     Link,
+    NodeOrdering,
     WeightSumViolation,
     apply,
     build_crossmap,
     compose,
     import_crosswalk,
     invert,
+    layout_bipartite,
     read_crosswalk_table,
     read_edge_list,
     read_series,
+    render_svg,
     summarize,
     write_edge_list,
     write_series,
     write_summary_json,
 )
+from xmap.cli import run
 from helpers import oracle_relabel_group_sum
 
-# label characters: anything except comma, double quote and the C0 controls
-# other than tab (which clean_label bans), surrogates, and labels that trim
-# away to nothing
-_BANNED_LABEL_CHARS = ',"' + "".join(chr(code) for code in range(0x20) if code != 0x09)
+# label characters: anything except comma, double quote, the C0 controls
+# other than tab and the non-characters U+FFFE and U+FFFF (which clean_label
+# bans), surrogates, and labels that trim away to nothing
+_BANNED_LABEL_CHARS = (
+    ',"' + "".join(chr(code) for code in range(0x20) if code != 0x09) + "\ufffe\uffff"
+)
 label_text = st.text(
     alphabet=st.characters(
         blacklist_characters=_BANNED_LABEL_CHARS, blacklist_categories=("Cs",)
@@ -283,3 +291,60 @@ def test_only_crossmap_errors_escape_the_readers(data):
             read(text)
         except CrossmapError:
             pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(crossmaps())
+def test_svg_of_any_legal_labels_parses(crossmap):
+    for ordering in NodeOrdering:
+        svg = render_svg(layout_bipartite(crossmap, ordering))
+        assert minidom.parseString(svg).documentElement.tagName == "svg"
+
+
+# CLI byte fuzz: a valid document or a reader fuzz document, encoded as
+# UTF-8, with bytes spliced in that are not UTF-8 (a stray continuation, a
+# truncated sequence, an encoded surrogate) or that decode to what labels and
+# numbers may not hold.
+_FUZZ_BYTES = st.sampled_from(
+    [b"\xff", b"\xfe\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00",
+     "\uffff".encode(), "\ufffe".encode(), b"0_5", "７".encode()]
+)
+_VALID_FILES = {
+    "from,to,weight": "from,to,weight\nab,x,1\ncd,x,0.5\ncd,y,0.5\n",
+    "key,value": "key,value\na,1\nb,2.5\n",
+    "from,to,name": "from,to,name\nab,x,n1\ncd,y,n2\n",
+}
+
+
+@st.composite
+def fuzz_files(draw, header: str) -> bytes:
+    valid = st.just(_VALID_FILES[header])  # drawn half the time, so splices land in fields
+    data = draw(st.one_of(valid, fuzz_documents(header), valid, st.text(max_size=40)))
+    data = data.encode("utf-8")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(_FUZZ_BYTES) + data[at:]
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_answers_any_bytes_with_an_exit_code(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("fuzz", numbered=True)
+    recode, edges = folder / "recode.csv", folder / "edges.csv"
+    table, series = folder / "table.csv", folder / "series.csv"
+    recode.write_text("from,to,weight\na,x,1\nb,x,0.5\nb,y,0.5\nc,y,1\n")
+    edges.write_bytes(data.draw(fuzz_files("from,to,weight")))
+    table.write_bytes(data.draw(fuzz_files("from,to,name")))
+    series.write_bytes(data.draw(fuzz_files("key,value")))
+    for argv in (
+        ["validate", str(edges)],
+        ["render", str(edges)],
+        ["transform", "--map", str(recode), "--data", str(series)],
+        ["import-crosswalk", str(table), "--from", "from", "--to", "name"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, stdout=out, stderr=err)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if argv[0] == "render" and code == 0:
+            minidom.parseString(out.getvalue())
