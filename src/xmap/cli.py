@@ -2,18 +2,30 @@
 
 One command per invocation, no config files, no environment variables: the
 argv plus the named input files fully determine the output bytes, which go
-to stdout or, byte-identically, to the --out file. Diagnostics go to stderr.
+to stdout or, byte-identically, to the --out file. Every optional flag can
+change those bytes, so --source-name/--target-name belong to summarize
+alone, the one command that prints taxonomy names; elsewhere names are file
+stems. Diagnostics go to stderr.
+
+--out naming a regular file is replaced in one rename once fully written,
+so a failed write leaves the old file; a device or a FIFO is written in
+place. A stdout that cannot be written, closed early or full, is an
+error like a failed --out.
 
 Exit codes: 0 success, 1 domain or validation error, 2 unreadable or
-malformed input, 3 usage error.
+malformed input or an output that cannot be written, 3 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import logging
+import os
+import stat
 import sys
+import tempfile
 from pathlib import PurePath
 from typing import NoReturn, TextIO
 
@@ -59,14 +71,15 @@ def _read_text(path: str) -> str:
         raise ParseError(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
 
 
-def _load_map(path: str, source_name: str | None, target_name: str | None) -> Crossmap:
+def _load_map(
+    path: str, source_name: str | None = None, target_name: str | None = None
+) -> Crossmap:
     stem = PurePath(path).stem
     return read_edge_list(_read_text(path), source_name or stem, target_name or stem)
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
-    crossmap = _load_map(args.edges, args.source_name, args.target_name)
-    s = summarize(crossmap)
+    s = summarize(_load_map(args.edges))
     return (
         f"valid: {s.n_sources} sources, {s.n_targets} targets, {s.n_links} links, "
         f"{s.n_splits} splits, {s.n_aggregates} aggregates\n"
@@ -74,22 +87,22 @@ def _cmd_validate(args: argparse.Namespace) -> str:
 
 
 def _cmd_transform(args: argparse.Namespace) -> str:
-    crossmap = _load_map(args.map, args.source_name, args.target_name)
+    crossmap = _load_map(args.map)
     # The data file is read in the map's source taxonomy so stems never clash.
     series = read_series(_read_text(args.data), crossmap.source_taxonomy)
     return write_series(apply(crossmap, series, allow_unmatched=args.allow_unmatched))
 
 
 def _cmd_compose(args: argparse.Namespace) -> str:
-    first = _load_map(args.first, args.source_name, None)
+    first = _load_map(args.first)
     # The second map is read into the first's target taxonomy: composition
     # needs matching names, and the file stem is only a provenance default.
-    second = _load_map(args.second, first.target_taxonomy, args.target_name)
+    second = _load_map(args.second, first.target_taxonomy)
     return write_edge_list(compose(first, second))
 
 
 def _cmd_render(args: argparse.Namespace) -> str:
-    crossmap = _load_map(args.edges, args.source_name, args.target_name)
+    crossmap = _load_map(args.edges)
     if args.format == "dot":
         return render_dot(crossmap)
     plan = layout_bipartite(crossmap, NodeOrdering(args.order))
@@ -120,11 +133,6 @@ def _cmd_import(args: argparse.Namespace) -> str:
     return write_edge_list(import_crosswalk(doc, args.from_col, args.to_col))
 
 
-def _add_name_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--source-name", help="source taxonomy name (default: input file stem)")
-    parser.add_argument("--target-name", help="target taxonomy name (default: input file stem)")
-
-
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the result to this file instead of stdout")
 
@@ -135,7 +143,6 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("validate", help="check an edge list and print a one-line summary")
     p.add_argument("edges", help="edge list CSV (from,to,weight)")
-    _add_name_flags(p)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_validate)
 
@@ -147,14 +154,12 @@ def build_parser() -> _Parser:
         action="store_true",
         help="warn about and drop series keys with no outgoing links",
     )
-    _add_name_flags(p)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_transform)
 
     p = commands.add_parser("compose", help="fuse two crossmaps into one edge list")
     p.add_argument("first", help="edge list applied first")
     p.add_argument("second", help="edge list applied second")
-    _add_name_flags(p)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_compose)
 
@@ -168,14 +173,14 @@ def build_parser() -> _Parser:
         help="row ordering for the SVG layout",
     )
     p.add_argument("--hide-unit-weights", action="store_true")
-    _add_name_flags(p)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_render)
 
     p = commands.add_parser("summarize", help="report structural counts")
     p.add_argument("edges", help="edge list CSV")
     p.add_argument("--json", action="store_true", help="emit compact JSON instead of text")
-    _add_name_flags(p)
+    p.add_argument("--source-name", help="source taxonomy name (default: input file stem)")
+    p.add_argument("--target-name", help="target taxonomy name (default: input file stem)")
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_summarize)
 
@@ -187,6 +192,59 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_import)
 
     return parser
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` (through any symlink)
+    and rename it into place, so a failed write leaves the old file untouched
+    and never a shorter one that still parses. Mode and permission checks are
+    those of a plain ``open(path, "w")``, which is what a device, a FIFO or a
+    file in a directory that takes no new entries gets instead."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None  # absent, or an error the steps below report
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    if mode is not None and not (stat.S_ISREG(mode) and os.access(directory, os.W_OK | os.X_OK)):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    temp = None
+    try:
+        if mode is not None:
+            if not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            mode = stat.S_IMODE(mode)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, temp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+    except OSError as err:
+        if temp is not None:
+            os.unlink(temp)
+        # Name the path the user gave, not the temporary file.
+        raise OSError(err.errno, err.strerror, path) from None
+
+
+def _write_stdout(stream: TextIO, text: str) -> None:
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        if stream is sys.stdout:
+            # Python's note on SIGPIPE: point the dead descriptor at devnull,
+            # so the interpreter's flush at exit of what is still buffered is
+            # silent.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        raise
 
 
 def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
@@ -208,6 +266,10 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
     package_log.addHandler(log_handler)
     try:
         text = args.handler(args)
+        if args.out:
+            _replace_file(args.out, text)
+        else:
+            _write_stdout(out_stream, text)
     except (DocumentError, OSError) as err:
         print(f"error: {err}", file=err_stream)
         return EXIT_DOCUMENT
@@ -216,16 +278,6 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
         return EXIT_DOMAIN
     finally:
         package_log.removeHandler(log_handler)
-
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as err:
-            print(f"error: {err}", file=err_stream)
-            return EXIT_DOCUMENT
-    else:
-        out_stream.write(text)
     return EXIT_OK
 
 

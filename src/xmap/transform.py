@@ -200,6 +200,10 @@ def invert(crossmap: Crossmap) -> Crossmap:
     for target in crossmap.target_categories:
         if classify_target(crossmap, target) is RelationKind.AGGREGATE:
             raise NotBijective(RelationKind.AGGREGATE.value, target)
+    if not crossmap.is_crosswalk:
+        # A lone link within the sum tolerance of 1 is valid but is no crosswalk.
+        first = next(l for l in crossmap.pair_order if l.weight != 1.0)
+        raise NotBijective("non-unit-weight", first.source)
     reversed_links = tuple(Link(l.target, l.source, 1.0) for l in crossmap.links)
     return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 

@@ -101,8 +101,12 @@ def _rows(order: Sequence[str]) -> dict[str, int]:
     return {label: row for row, label in enumerate(order)}
 
 
-def _is_split(crossmap: Crossmap, source: str) -> bool:
-    return classify_source(crossmap, source) is RelationKind.SPLIT
+def _line_styles(step: Crossmap) -> dict[str, str]:
+    """The line style of every edge leaving each source: DASHED from a split."""
+    return {
+        source: DASHED if classify_source(step, source) is RelationKind.SPLIT else SOLID
+        for source in step.source_categories
+    }
 
 
 def _edges(
@@ -110,12 +114,13 @@ def _edges(
 ) -> Iterator[PlannedEdge]:
     """One planned edge per link of ``step``, in pair order, from column
     ``gap`` to column ``gap + 1``."""
+    styles = _line_styles(step)
     return (
         PlannedEdge(
             tail=(gap, tail_row[link.source]),
             head=(gap + 1, head_row[link.target]),
             weight=link.weight,
-            line_style=DASHED if _is_split(step, link.source) else SOLID,
+            line_style=styles[link.source],
             label_text=format_weight(link.weight),
         )
         for link in step.pair_order
@@ -166,7 +171,8 @@ def layout_bipartite(
     targets = list(crossmap.target_categories)
 
     if ordering is NodeOrdering.SPLITS_FIRST:
-        sources.sort(key=lambda s: not _is_split(crossmap, s))
+        styles = _line_styles(crossmap)
+        sources.sort(key=lambda s: styles[s] != DASHED)
         src_row = _rows(sources)
         targets.sort(key=lambda t: (_mean([src_row[l.source] for l in crossmap.links_into(t)], 0.0), t))
     elif ordering is NodeOrdering.TARGET_INDEGREE:
@@ -330,12 +336,8 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _dot_id(prefix: str, label: str) -> str:
-    return f'"{prefix}/' + label.replace("\\", "\\\\") + '"'
-
-
-def _dot_label(label: str) -> str:
-    return '"' + label.replace("\\", "\\\\") + '"'
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\") + '"'
 
 
 def render_dot(crossmap: Crossmap) -> str:
@@ -348,20 +350,15 @@ def render_dot(crossmap: Crossmap) -> str:
     sorted by (source, target).
     """
     lines = ["digraph crossmap {", "  rankdir=LR;"]
-    lines.append("  {")
-    lines.append("    rank=same;")
-    for label in crossmap.source_categories:
-        lines.append(f"    {_dot_id('from', label)} [label={_dot_label(label)}];")
-    lines.append("  }")
-    lines.append("  {")
-    lines.append("    rank=same;")
-    for label in crossmap.target_categories:
-        lines.append(f"    {_dot_id('to', label)} [label={_dot_label(label)}];")
-    lines.append("  }")
+    for prefix, labels in (("from", crossmap.source_categories), ("to", crossmap.target_categories)):
+        nodes = [f"    {_dot_quote(f'{prefix}/{label}')} [label={_dot_quote(label)}];" for label in labels]
+        lines += ["  {", "    rank=same;", *nodes, "  }"]
+    styles = _line_styles(crossmap)
     for link in crossmap.pair_order:
-        attrs = f"label={_dot_label(format_weight(link.weight))}"
-        if _is_split(crossmap, link.source):
-            attrs += ", style=dashed"
-        lines.append(f"  {_dot_id('from', link.source)} -> {_dot_id('to', link.target)} [{attrs}];")
+        dashed = ", style=dashed" if styles[link.source] == DASHED else ""
+        lines.append(
+            f"  {_dot_quote(f'from/{link.source}')} -> {_dot_quote(f'to/{link.target}')} "
+            f"[label={_dot_quote(format_weight(link.weight))}{dashed}];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

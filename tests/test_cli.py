@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import argparse
 import io
 import os
+import random
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from xmap.cli import run
-from helpers import COUNTRY_EDGE_TEXT, ISO_TABLE_TEXT
+from xmap import write_edge_list
+from xmap.cli import build_parser, run
+from helpers import COUNTRY_EDGE_TEXT, ISO_TABLE_TEXT, random_crossmap
 
 SERIES_TEXT = "key,value\nBLX,10\nE.GER,5\nW.GER,7\nAUS,3\n"
 MERGE_TEXT = (
@@ -292,3 +296,218 @@ def test_non_utf8_file_is_exit_2_naming_its_line(command, table2, tmp_path):
     assert out == ""
     assert err == "error: parse error: not UTF-8 text (line 3)\n"
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def random_map(tmp_path):
+    # 30x30 draw whose three row orderings give three different SVGs
+    path = tmp_path / "random.csv"
+    path.write_text(write_edge_list(random_crossmap(random.Random(2024), 30, 30)))
+    return str(path)
+
+
+def optional_flags() -> set[tuple[str, str]]:
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (name, flag)
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if not action.required and not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+
+
+def test_every_optional_flag_changes_the_output(table2, values, random_map, tmp_path):
+    (tmp_path / "merge.csv").write_text(MERGE_TEXT)
+    (tmp_path / "iso.csv").write_text(ISO_TABLE_TEXT)
+    (tmp_path / "unmatched.csv").write_text("key,value\nBLX,10\nATLANTIS,1\n")
+    merge, iso, unmatched = (str(tmp_path / name) for name in ("merge.csv", "iso.csv", "unmatched.csv"))
+    out = str(tmp_path / "out.txt")
+    # (command, flag) -> (argv without the flag, the flag with a non-default value)
+    table = {
+        ("validate", "--out"): (["validate", table2], ["--out", out]),
+        ("transform", "--allow-unmatched"): (
+            ["transform", "--map", table2, "--data", unmatched], ["--allow-unmatched"]
+        ),
+        ("transform", "--out"): (["transform", "--map", table2, "--data", values], ["--out", out]),
+        ("compose", "--out"): (["compose", table2, merge], ["--out", out]),
+        ("render", "--format"): (["render", table2], ["--format", "dot"]),
+        ("render", "--order"): (["render", random_map], ["--order", "input-order"]),
+        ("render", "--hide-unit-weights"): (["render", table2], ["--hide-unit-weights"]),
+        ("render", "--out"): (["render", table2], ["--out", out]),
+        ("summarize", "--json"): (["summarize", table2], ["--json"]),
+        ("summarize", "--source-name"): (["summarize", table2], ["--source-name", "v1990"]),
+        ("summarize", "--target-name"): (["summarize", table2], ["--target-name", "v2020"]),
+        ("summarize", "--out"): (["summarize", table2], ["--out", out]),
+        ("import-crosswalk", "--out"): (
+            ["import-crosswalk", iso, "--from", "ISO2", "--to", "ISO3"], ["--out", out]
+        ),
+    }
+    assert optional_flags() == set(table)
+
+    def outcome(argv: list[str]) -> tuple[str, str, int, bytes | None]:
+        code, stdout, stderr = invoke(*argv)
+        written = None
+        if os.path.exists(out):
+            with open(out, "rb") as handle:
+                written = handle.read()
+            os.remove(out)
+        return stdout, stderr, code, written
+
+    for (command, flag), (argv, setting) in table.items():
+        assert outcome(argv + setting) != outcome(argv), (command, flag)
+
+
+@pytest.mark.parametrize("command", ["validate", "render", "transform", "compose"])
+@pytest.mark.parametrize("flag", ["--source-name", "--target-name"])
+def test_name_flags_belong_to_summarize_alone(command, flag, table2, values):
+    argv = {
+        "validate": ["validate", table2],
+        "render": ["render", table2],
+        "transform": ["transform", "--map", table2, "--data", values],
+        "compose": ["compose", table2, table2],
+    }[command]
+    code, out, err = invoke(*argv, flag, "x")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == f"error: unrecognized arguments: {flag} x"
+    assert err.splitlines()[1].startswith("usage: ")
+
+
+def xmap_writing_to(stdout, *argv: str) -> subprocess.CompletedProcess:
+    # stdout buffered, as for most users, so a short result fails only at flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "xmap", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def assert_clean_exit_2(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_closed_stdout_is_exit_2_without_traceback(size, table2, random_map):
+    # one short line, and an SVG larger than the 8 KiB buffer of the stream
+    argv = ["validate", table2] if size == "small" else ["render", random_map]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = xmap_writing_to(write_end, *argv)
+    finally:
+        os.close(write_end)
+    assert_clean_exit_2(proc)
+    assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_exit_2_without_traceback(table2):
+    with open("/dev/full", "w") as full:
+        proc = xmap_writing_to(full, "render", table2)
+    assert_clean_exit_2(proc)
+    assert "No space left" in proc.stderr
+
+
+def test_failed_out_write_leaves_the_old_file(random_map, tmp_path):
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "drawing.svg"
+    out.write_bytes(b"<svg/>\n")
+    before = sorted(tmp_path.iterdir())
+
+    def small_file_limit() -> None:  # far below the SVG's size; CPython ignores SIGXFSZ
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmap", "render", random_map, "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=small_file_limit,
+    )
+    assert_clean_exit_2(proc)
+    assert out.read_bytes() == b"<svg/>\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_out_file_gets_the_mode_a_plain_open_gives(table2, tmp_path):
+    fresh = tmp_path / "fresh.txt"
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = invoke("validate", table2, "--out", str(fresh))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    kept.chmod(0o604)
+    code, _, _ = invoke("validate", table2, "--out", str(kept))
+    assert code == 0
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert kept.read_text().startswith("valid: ")
+
+
+def test_out_through_a_symlink_replaces_its_target(table2, tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    code, _, _ = invoke("validate", table2, "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_text() == "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
+
+
+VALID_LINE = "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_out_to_dev_null_writes_into_the_device(table2):
+    assert invoke("validate", table2, "--out", "/dev/null") == (0, "", "")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_out_to_a_fifo_reaches_its_reader(table2, tmp_path):
+    import threading
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert invoke("validate", table2, "--out", str(fifo)) == (0, "", "")
+    reader.join(timeout=10)
+    assert received == [VALID_LINE]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_to_dev_stdout_on_a_pipe(table2):
+    proc = xmap_writing_to(subprocess.PIPE, "validate", table2, "--out", "/dev/stdout")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, VALID_LINE, "")
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root writes any directory")
+def test_out_file_in_a_locked_directory_is_written_in_place(table2, tmp_path):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out.txt"
+    out.write_text("old\n")
+    locked.chmod(0o555)
+    try:
+        assert invoke("validate", table2, "--out", str(out)) == (0, "", "")
+        assert out.read_text() == VALID_LINE
+    finally:
+        locked.chmod(0o755)
+
+
+def test_write_error_of_a_caller_stream_is_reported_unchanged(table2):
+    class FullStream(io.StringIO):  # no file descriptor behind it
+        def write(self, text: str) -> int:
+            raise OSError(28, "No space left on device")
+
+    err = io.StringIO()
+    assert run(["validate", table2], stdout=FullStream(), stderr=err) == 2
+    assert err.getvalue() == "error: [Errno 28] No space left on device\n"

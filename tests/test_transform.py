@@ -173,6 +173,17 @@ def test_invert_rejects_split_and_aggregate():
     assert "'p'" in str(caught.value)
 
 
+def test_invert_rejects_near_unit_weight():
+    # 0.9999995 is within the 1e-6 sum tolerance, so the map is valid, but it
+    # is no crosswalk and inverting it would rewrite the weight to 1
+    near = build_crossmap("a", "b", [("X", "P", 0.9999995), ("Y", "Q", 1.0)])
+    assert not near.is_crosswalk
+    with pytest.raises(NotBijective) as caught:
+        invert(near)
+    assert caught.value.reason == "non-unit-weight"
+    assert caught.value.label == "X"
+
+
 def test_chain_validation():
     recode = country_fixture()
     with pytest.raises(CrossmapError):

@@ -20,6 +20,7 @@ from xmap import (
     render_dot,
     render_svg,
 )
+from xmap.viz import count_crossings
 from helpers import (
     country_fixture,
     oracle_crossings,
@@ -243,6 +244,40 @@ def test_barycenter_solves_a_known_tangle():
     assert oracle_crossings(tail_rows, head_rows, [("a", "p"), ("a", "q"), ("b", "p")]) == 1
     plan = layout_chain(MultiStepChain((tangled,)))
     assert plan_crossings(plan) == 0
+
+
+def test_count_crossings_matches_the_brute_force_oracle():
+    # Pins count_crossings before any faster rewrite. The single steps have few
+    # targets and many split sources, so edges often share a tail or a head,
+    # which never counts as a crossing.
+    rng = random.Random(31)
+    cases = []
+    for _ in range(150):
+        first, second = random_composable_pair(rng)
+        middle = dict.fromkeys(first.target_categories + second.source_categories)
+        orders = [list(first.source_categories), list(middle), list(second.target_categories)]
+        cases.append((orders, (first, second)))
+    for _ in range(150):
+        targets = [f"T{i}" for i in range(rng.randint(1, 3))]
+        links = []
+        for i in range(rng.randint(1, 25)):
+            heads = rng.sample(targets, rng.randint(1, len(targets)))
+            links.extend((f"S{i:02d}", head, 1 / len(heads)) for head in heads)
+        step = build_crossmap("x", "y", links)
+        cases.append(([list(step.source_categories), list(step.target_categories)], (step,)))
+
+    for orders, steps in cases:
+        for order in orders:
+            rng.shuffle(order)
+        expected = sum(
+            oracle_crossings(
+                {label: row for row, label in enumerate(orders[gap])},
+                {label: row for row, label in enumerate(orders[gap + 1])},
+                [link.pair for link in step.links],
+            )
+            for gap, step in enumerate(steps)
+        )
+        assert count_crossings(orders, steps) == expected
 
 
 def test_svg_with_tab_label_is_well_formed():
