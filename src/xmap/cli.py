@@ -74,8 +74,13 @@ def _read_text(path: str) -> str:
 def _load_map(
     path: str, source_name: str | None = None, target_name: str | None = None
 ) -> Crossmap:
+    # The file stem names a taxonomy only when no name is given; "" is a name.
     stem = PurePath(path).stem
-    return read_edge_list(_read_text(path), source_name or stem, target_name or stem)
+    return read_edge_list(
+        _read_text(path),
+        stem if source_name is None else source_name,
+        stem if target_name is None else target_name,
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:

@@ -115,13 +115,14 @@ def _edges(
     """One planned edge per link of ``step``, in pair order, from column
     ``gap`` to column ``gap + 1``."""
     styles = _line_styles(step)
+    texts = {weight: format_weight(weight) for weight in {link.weight for link in step.links}}
     return (
         PlannedEdge(
             tail=(gap, tail_row[link.source]),
             head=(gap + 1, head_row[link.target]),
             weight=link.weight,
             line_style=styles[link.source],
-            label_text=format_weight(link.weight),
+            label_text=texts[link.weight],
         )
         for link in step.pair_order
     )
@@ -185,26 +186,48 @@ def layout_bipartite(
 
 
 def count_crossings(orders: list[list[str]], steps: tuple[Crossmap, ...]) -> int:
-    """Pairwise edge-crossing count across all adjacent column pairs."""
+    """Exact straight-line edge-crossing count, summed over adjacent columns.
+
+    Bilayer cross counting by inversions (Barth, Jünger & Mutzel, "Simple and
+    Efficient Bilayer Cross Counting", JGAA 8(2), 2004): each gap's spans
+    (tail row, head row) are sorted by tail then head and walked with a
+    Fenwick tree over head rows, each span adding the earlier spans whose head
+    row is strictly greater. Spans that share a tail or a head never count.
+    O(E log V) per gap for E links and V rows, not O(E²) for every pair.
+    """
     total = 0
     for gap, step in enumerate(steps):
         tail_row, head_row = _rows(orders[gap]), _rows(orders[gap + 1])
-        spans = [(tail_row[l.source], head_row[l.target]) for l in step.links]
-        for i in range(len(spans)):
-            for j in range(i + 1, len(spans)):
-                (a_tail, a_head), (b_tail, b_head) = spans[i], spans[j]
-                if (a_tail - b_tail) * (a_head - b_head) < 0:
-                    total += 1
+        spans = sorted([(tail_row[link.source], head_row[link.target]) for link in step.links])
+        total += _inversions(spans, len(head_row))
+    return total
+
+
+def _inversions(spans: list[tuple[int, int]], rows: int) -> int:
+    """Pairs of ``spans`` (sorted) whose later span has the smaller head row;
+    heads lie in ``range(rows)``."""
+    tree = [0] * (rows + 1)  # Fenwick tree: tree[i] counts heads in rows [i - (i & -i), i)
+    total = 0
+    for seen, (_, head) in enumerate(spans):
+        at_or_below, i = 0, head + 1
+        while i:
+            at_or_below += tree[i]
+            i &= i - 1
+        total += seen - at_or_below
+        i = head + 1
+        while i <= rows:
+            tree[i] += 1
+            i += i & -i
     return total
 
 
 def _sweep(order: list[str], neighbour_order: list[str], neighbours: dict[str, list[str]]) -> None:
     """Sort ``order`` in place by the mean row of each label's neighbours in
     ``neighbour_order``; a label without neighbours keys on its current row."""
-    there, here = _rows(neighbour_order), _rows(order)
-    order.sort(
-        key=lambda label: _mean([there[n] for n in neighbours.get(label, ())], float(here[label]))
-    )
+    row_of = _rows(neighbour_order).__getitem__
+    key = {label: float(row) for row, label in enumerate(order)}
+    key.update((label, sum(map(row_of, near)) / len(near)) for label, near in neighbours.items())
+    order.sort(key=key.__getitem__)
 
 
 def layout_chain(chain: MultiStepChain) -> LayoutPlan:

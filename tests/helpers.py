@@ -53,28 +53,35 @@ def country_series() -> IndexedSeries:
 # ── random instances ──────────────────────────────────────────────────────
 
 
-def random_crossmap(rng: random.Random, max_sources: int = 50, max_targets: int = 50) -> Crossmap:
-    """Valid crossmap with a mix of one-to-one links, splits, and aggregates.
+def _random_links(
+    rng: random.Random, sources: list[str], heads: list[str], max_fan: int
+) -> list[tuple[str, str, float]]:
+    """Links from every source to 1..``max_fan`` distinct heads.
 
     Split weights are integer ratios share/total, so each source's weights
     sum to 1 at float precision and every weight is at least 1/36 (safely
     above the 9-digit text format's resolution).
     """
+    links: list[tuple[str, str, float]] = []
+    for label in sources:
+        fan = rng.randint(1, min(max_fan, len(heads)))
+        picked = rng.sample(heads, fan)
+        if fan == 1:
+            links.append((label, picked[0], 1.0))
+        else:
+            shares = [rng.randint(1, 9) for _ in range(fan)]
+            total = sum(shares)
+            links.extend((label, head, share / total) for head, share in zip(picked, shares))
+    return links
+
+
+def random_crossmap(rng: random.Random, max_sources: int = 50, max_targets: int = 50) -> Crossmap:
+    """Valid crossmap with a mix of one-to-one links, splits, and aggregates."""
     n_sources = rng.randint(1, max_sources)
     n_targets = rng.randint(1, max_targets)
     sources = [f"S{i:03d}" for i in range(n_sources)]
     targets = [f"T{i:03d}" for i in range(n_targets)]
-    links: list[tuple[str, str, float]] = []
-    for label in sources:
-        fan = rng.randint(1, min(4, n_targets))
-        heads = rng.sample(targets, fan)
-        if fan == 1:
-            links.append((label, heads[0], 1.0))
-        else:
-            shares = [rng.randint(1, 9) for _ in range(fan)]
-            total = sum(shares)
-            links.extend((label, head, share / total) for head, share in zip(heads, shares))
-    return build_crossmap("alpha", "beta", links)
+    return build_crossmap("alpha", "beta", _random_links(rng, sources, targets, 4))
 
 
 def random_crosswalk(rng: random.Random, max_sources: int = 50, max_targets: int = 50) -> Crossmap:
@@ -93,33 +100,25 @@ def random_composable_pair(rng: random.Random) -> tuple[Crossmap, Crossmap]:
     n_sources = rng.randint(1, 12)
     n_finals = rng.randint(1, 12)
     finals = [f"U{i:02d}" for i in range(n_finals)]
-
-    links_a: list[tuple[str, str, float]] = []
-    for i in range(n_sources):
-        label = f"S{i:02d}"
-        fan = rng.randint(1, min(3, len(mids)))
-        heads = rng.sample(mids, fan)
-        if fan == 1:
-            links_a.append((label, heads[0], 1.0))
-        else:
-            shares = [rng.randint(1, 9) for _ in range(fan)]
-            total = sum(shares)
-            links_a.extend((label, head, share / total) for head, share in zip(heads, shares))
-
-    links_b: list[tuple[str, str, float]] = []
-    for label in mids:  # every intermediate gets outgoing links: full coverage
-        fan = rng.randint(1, min(3, n_finals))
-        heads = rng.sample(finals, fan)
-        if fan == 1:
-            links_b.append((label, heads[0], 1.0))
-        else:
-            shares = [rng.randint(1, 9) for _ in range(fan)]
-            total = sum(shares)
-            links_b.extend((label, head, share / total) for head, share in zip(heads, shares))
-
+    sources = [f"S{i:02d}" for i in range(n_sources)]
+    links_a = _random_links(rng, sources, mids, 3)
+    links_b = _random_links(rng, mids, finals, 3)  # every intermediate links on: full coverage
     return (
         build_crossmap("alpha", "mid", links_a),
         build_crossmap("mid", "omega", links_b),
+    )
+
+
+def random_chain(rng: random.Random, n_sources: int) -> tuple[Crossmap, Crossmap]:
+    """Two composable steps of fixed size: ``n_sources`` sources, half as many
+    intermediate categories and a quarter as many final ones. Intermediates
+    the first step never reaches are onward-only sources of the second."""
+    sources = [f"S{i:04d}" for i in range(n_sources)]
+    mids = [f"M{i:04d}" for i in range(n_sources // 2)]
+    finals = [f"U{i:04d}" for i in range(n_sources // 4)]
+    return (
+        build_crossmap("alpha", "mid", _random_links(rng, sources, mids, 4)),
+        build_crossmap("mid", "omega", _random_links(rng, mids, finals, 4)),
     )
 
 

@@ -189,6 +189,15 @@ def test_summarize_respects_name_flags(table2):
     assert out.startswith("taxonomies: v1990 -> v2020\n")
 
 
+def test_summarize_keeps_an_empty_name(table2):
+    # An empty name is a name, as in build_crossmap; only an absent flag
+    # falls back to the file stem.
+    _, out, _ = invoke("summarize", table2, "--source-name", "", "--target-name", "v2020")
+    assert out.startswith("taxonomies:  -> v2020\n")
+    _, out, _ = invoke("summarize", table2, "--target-name", "")
+    assert out.startswith("taxonomies: table2 -> \n")
+
+
 def test_render_svg_and_dot(table2):
     code, svg, _ = invoke("render", table2)
     assert code == 0

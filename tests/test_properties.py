@@ -3,10 +3,11 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import Counter
 from xml.dom import minidom
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xmap import (
     Crossmap,
@@ -32,7 +33,8 @@ from xmap import (
     write_summary_json,
 )
 from xmap.cli import run
-from helpers import oracle_relabel_group_sum
+from xmap.viz import count_crossings
+from helpers import oracle_crossings, oracle_relabel_group_sum
 
 # label characters: anything except comma, double quote, the C0 controls
 # other than tab and the non-characters U+FFFE and U+FFFF (which clean_label
@@ -247,6 +249,48 @@ def test_link_order_never_changes_results(data):
         compose(first, second)
     )
     assert summarize(first_shuffled) == summarize(first)
+
+
+@st.composite
+def crossing_gaps(draw) -> tuple[list[list[str]], Crossmap]:
+    """One step between two shuffled columns, heavy with shared tails and
+    heads: column sizes lean small, fans run up to four, and up to three
+    unlinked rows (a chain's onward-only sources) join the head column."""
+    n_tails = draw(st.one_of(st.integers(1, 4), st.integers(1, 200)))
+    n_heads = draw(st.one_of(st.integers(1, 4), st.integers(1, 200)))
+    links: list[tuple[str, str, float]] = []
+    for tail in range(n_tails):
+        heads = draw(st.lists(st.integers(0, n_heads - 1), min_size=1, max_size=4, unique=True))
+        links.extend((f"s{tail}", f"t{head}", 1 / len(heads)) for head in heads)
+    step = build_crossmap("x", "y", links)
+    idle = tuple(f"idle{i}" for i in range(draw(st.integers(0, 3))))
+    tails = draw(st.permutations(step.source_categories))
+    heads = draw(st.permutations(step.target_categories + idle))
+    return [list(tails), list(heads)], step
+
+
+def _gap(tails: list[str], heads: list[str], pairs: list[tuple[str, str]]):
+    """A hand-made ``crossing_gaps`` value: each tail splits evenly over its pairs."""
+    fan = Counter(source for source, _ in pairs)
+    return [tails, heads], build_crossmap("x", "y", [(s, t, 1 / fan[s]) for s, t in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossing_gaps())
+@example(_gap(["a"], ["p"], [("a", "p")]))  # a step with one link
+@example(_gap(["a", "b", "c"], ["p"], [("c", "p"), ("a", "p"), ("b", "p")]))  # one head row
+@example(_gap(["a"], ["r", "p", "q"], [("a", "q"), ("a", "r"), ("a", "p")]))  # one tail row
+@example(_gap(["a", "b"], ["p", "q", "idle"], [("a", "q"), ("b", "p")]))  # last row unlinked
+@example(_gap(["a", "b"], ["idle", "p", "q"], [("a", "q"), ("b", "p"), ("b", "q")]))  # row 0 unlinked
+@example(_gap(["a", "b", "c"], ["p", "q", "r"], [("a", "r"), ("b", "r"), ("c", "p"), ("c", "q")]))
+def test_count_crossings_matches_the_oracle_on_shared_endpoints(gap):
+    (tails, heads), step = gap
+    expected = oracle_crossings(
+        {label: row for row, label in enumerate(tails)},
+        {label: row for row, label in enumerate(heads)},
+        [link.pair for link in step.links],
+    )
+    assert count_crossings([tails, heads], (step,)) == expected
 
 
 # Reader fuzz: documents built from the pieces parsers trip over --

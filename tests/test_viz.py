@@ -25,6 +25,7 @@ from helpers import (
     country_fixture,
     oracle_crossings,
     plan_crossings,
+    random_chain,
     random_composable_pair,
     random_crossmap,
 )
@@ -278,6 +279,24 @@ def test_count_crossings_matches_the_brute_force_oracle():
             for gap, step in enumerate(steps)
         )
         assert count_crossings(orders, steps) == expected
+
+
+# sha256 of repr(layout_chain(...)), recorded with the pairwise crossing count
+# that the inversion count replaced: a crossing count is an exact integer, so
+# every plan must stay the same.
+GOLDEN_CHAIN_PLANS = "b79fb68b4ca7e674d678e70c3102a78fd573d69cb35e7963b01e86f3886d91af"
+GOLDEN_WIDE_CHAIN_PLAN = "db80b2436cefe215c9d45f7d1b26602a98375a57eaea1722875aa8bd3d6587e1"
+
+
+def test_chain_plans_are_pinned():
+    rng = random.Random(77)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        digest.update(repr(layout_chain(MultiStepChain(random_composable_pair(rng)))).encode())
+    assert digest.hexdigest() == GOLDEN_CHAIN_PLANS
+    wide = MultiStepChain(random_chain(random.Random(500), 500))
+    assert len(wide.steps[0].source_categories) == 500
+    assert hashlib.sha256(repr(layout_chain(wide)).encode()).hexdigest() == GOLDEN_WIDE_CHAIN_PLAN
 
 
 def test_svg_with_tab_label_is_well_formed():
