@@ -19,10 +19,12 @@ threads; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import pairwise
+from itertools import groupby, pairwise
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import (
@@ -66,7 +68,7 @@ def clean_label(text: str) -> str:
     return label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """One directed relation: ``weight`` of ``source``'s mass goes to ``target``.
 
@@ -79,16 +81,33 @@ class Link:
     weight: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source", clean_label(self.source))
-        object.__setattr__(self, "target", clean_label(self.target))
-        object.__setattr__(self, "weight", float(self.weight))
+        self._set(clean_label(self.source), clean_label(self.target), self.weight)
+
+    @classmethod
+    def _from_clean(cls, source: str, target: str, weight: float) -> Link:
+        """A link whose labels come from validated links: only the weight is
+        checked, as the labels were cleaned when those links were built."""
+        link = object.__new__(cls)
+        link._set(source, target, weight)
+        return link
+
+    def _set(self, source: str, target: str, weight: float) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        weight = float(weight)
+        object.__setattr__(self, "weight", weight)
         # NaN fails both comparisons below, so non-finite weights land here too.
-        if not (0.0 < self.weight <= 1.0):
-            raise WeightOutOfRange(self.source, self.target, self.weight)
+        if not (0.0 < weight <= 1.0):
+            raise WeightOutOfRange(source, target, weight)
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.source, self.target)
+
+
+_pair_of = attrgetter("source", "target")
+_source_of = attrgetter("source")
+_target_of = attrgetter("target")
 
 
 class RelationKind(Enum):
@@ -125,44 +144,67 @@ class Crossmap:
         object.__setattr__(self, "links", tuple(self.links))
         if not self.links:
             raise EmptyCrossmap()
-        ordered = tuple(sorted(self.links, key=lambda link: link.pair))
+        ordered = tuple(sorted(self.links, key=_pair_of))
         object.__setattr__(self, "pair_order", ordered)
-        for previous, link in pairwise(ordered):
-            if previous.pair == link.pair:
-                raise DuplicateLink(link.source, link.target)
-        totals: dict[str, float] = {}
-        for link in ordered:
-            totals[link.source] = totals.get(link.source, 0.0) + link.weight
-        for source, total in totals.items():  # keys arrive sorted, as ``ordered`` is
+        for previous, pair in pairwise(map(_pair_of, ordered)):
+            if previous == pair:
+                raise DuplicateLink(*pair)
+        for source, group in groupby(ordered, _source_of):  # sources ascending
+            # Left to right, not sum(): Python 3.12 made float sum() compensated.
+            total = 0.0
+            for link in group:
+                total += link.weight
             if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
                 raise WeightSumViolation(source, total)
 
-    # -- derived structure (cached; the dataclass is frozen so these never stale)
+    # -- derived structure, each computed once on first use (the dataclass is
+    # frozen, so none of it goes stale)
 
-    def _group_by(self, side: str) -> dict[str, tuple[Link, ...]]:
-        # Keys in first-appearance order, each group in pair order.
-        grouped: dict[str, list[Link]] = {getattr(link, side): [] for link in self.links}
-        for link in self.pair_order:
-            grouped[getattr(link, side)].append(link)
-        return {label: tuple(group) for label, group in grouped.items()}
+    @cached_property
+    def _out_degrees(self) -> dict[str, int]:
+        return dict(Counter(map(_source_of, self.links)))  # first-appearance order
+
+    @cached_property
+    def _in_degrees(self) -> dict[str, int]:
+        return dict(Counter(map(_target_of, self.links)))
+
+    @cached_property
+    def _source_kinds(self) -> dict[str, RelationKind]:
+        return {
+            source: RelationKind.SPLIT if degree > 1 else RelationKind.ONE_TO_ONE
+            for source, degree in self._out_degrees.items()
+        }
+
+    @cached_property
+    def _target_kinds(self) -> dict[str, RelationKind]:
+        return {
+            target: RelationKind.AGGREGATE if degree > 1 else RelationKind.UNIQUE
+            for target, degree in self._in_degrees.items()
+        }
 
     @cached_property
     def _links_by_source(self) -> dict[str, tuple[Link, ...]]:
-        return self._group_by("source")
+        # Keys in first-appearance order, each group in pair order.
+        groups = {source: tuple(group) for source, group in groupby(self.pair_order, _source_of)}
+        return {source: groups[source] for source in self._out_degrees}
 
     @cached_property
     def _links_by_target(self) -> dict[str, tuple[Link, ...]]:
-        return self._group_by("target")
+        # Keys in first-appearance order, each group in pair order.
+        grouped: dict[str, list[Link]] = {target: [] for target in self._in_degrees}
+        for link in self.pair_order:
+            grouped[link.target].append(link)
+        return {target: tuple(group) for target, group in grouped.items()}
 
-    @property
+    @cached_property
     def source_categories(self) -> tuple[str, ...]:
         """Source categories in order of first appearance."""
-        return tuple(self._links_by_source)
+        return tuple(self._out_degrees)
 
-    @property
+    @cached_property
     def target_categories(self) -> tuple[str, ...]:
         """Target categories in order of first appearance."""
-        return tuple(self._links_by_target)
+        return tuple(self._in_degrees)
 
     def links_from(self, source: str) -> tuple[Link, ...]:
         """Outgoing links of ``source``, in pair order (by target)."""
@@ -179,10 +221,16 @@ class Crossmap:
             raise UnknownCategory(target, "target") from None
 
     def out_degree(self, source: str) -> int:
-        return len(self.links_from(source))
+        try:
+            return self._out_degrees[source]
+        except KeyError:
+            raise UnknownCategory(source, "source") from None
 
     def in_degree(self, target: str) -> int:
-        return len(self.links_into(target))
+        try:
+            return self._in_degrees[target]
+        except KeyError:
+            raise UnknownCategory(target, "target") from None
 
     @cached_property
     def is_crosswalk(self) -> bool:
@@ -217,16 +265,18 @@ def build_crossmap(
 
 def classify_source(crossmap: Crossmap, source: str) -> RelationKind:
     """SPLIT if the source category has more than one outgoing link, else ONE_TO_ONE."""
-    if crossmap.out_degree(source) > 1:
-        return RelationKind.SPLIT
-    return RelationKind.ONE_TO_ONE
+    try:
+        return crossmap._source_kinds[source]
+    except KeyError:
+        raise UnknownCategory(source, "source") from None
 
 
 def classify_target(crossmap: Crossmap, target: str) -> RelationKind:
     """AGGREGATE if the target category has more than one incoming link, else UNIQUE."""
-    if crossmap.in_degree(target) > 1:
-        return RelationKind.AGGREGATE
-    return RelationKind.UNIQUE
+    try:
+        return crossmap._target_kinds[target]
+    except KeyError:
+        raise UnknownCategory(target, "target") from None
 
 
 @dataclass(frozen=True)
@@ -249,17 +299,15 @@ class CrossmapSummary:
 
 
 def summarize(crossmap: Crossmap) -> CrossmapSummary:
-    """Count sources, targets, links, splits and aggregates in one pass."""
-    in_degrees = {t: crossmap.in_degree(t) for t in crossmap.target_categories}
+    """Count sources, targets, links, splits and aggregates from the cached degrees."""
+    in_degrees = crossmap._in_degrees
     ranked = sorted(in_degrees.items(), key=lambda item: (-item[1], item[0]))
-    kinds = [classify_source(crossmap, s) for s in crossmap.source_categories]
-    kinds += [classify_target(crossmap, t) for t in in_degrees]
     return CrossmapSummary(
         n_sources=len(crossmap.source_categories),
         n_targets=len(crossmap.target_categories),
         n_links=len(crossmap.links),
-        n_splits=kinds.count(RelationKind.SPLIT),
-        n_aggregates=kinds.count(RelationKind.AGGREGATE),
+        n_splits=list(crossmap._source_kinds.values()).count(RelationKind.SPLIT),
+        n_aggregates=list(crossmap._target_kinds.values()).count(RelationKind.AGGREGATE),
         max_in_degree=max(in_degrees.values()),
         most_synthetic_targets=tuple(ranked),
         is_crosswalk=crossmap.is_crosswalk,

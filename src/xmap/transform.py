@@ -15,6 +15,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -64,6 +66,23 @@ class IndexedSeries:
                 raise NonFiniteValue(label, value)
             cleaned[label] = value
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
+
+    @classmethod
+    def _from_clean(cls, taxonomy: str, entries: dict[str, float]) -> IndexedSeries:
+        """A series over float values keyed by labels of a validated crossmap:
+        only finiteness is checked, as the labels were cleaned when the map
+        was built. ``entries`` is taken over, not copied."""
+        if not all(map(math.isfinite, entries.values())):
+            label = next(key for key, value in entries.items() if not math.isfinite(value))
+            raise NonFiniteValue(label, entries[label])
+        series = object.__new__(cls)
+        object.__setattr__(series, "taxonomy", taxonomy)
+        object.__setattr__(series, "entries", MappingProxyType(entries))
+        return series
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: rebuild from a plain dict.
+        return (type(self), (self.taxonomy, dict(self.entries)))
 
     def total(self) -> float:
         """Sum of all values, iterated in key order for determinism."""
@@ -157,7 +176,7 @@ def apply(
     for link in crossmap.pair_order:
         totals[link.target] += link.weight * series.entries.get(link.source, 0.0)
     try:
-        return IndexedSeries(crossmap.target_taxonomy, totals)
+        return IndexedSeries._from_clean(crossmap.target_taxonomy, totals)
     except NonFiniteValue as err:  # the inputs were finite, so the sum overflowed
         raise CrossmapError(f"value for target {err.label!r} overflows to {err.value!r}") from None
 
@@ -175,14 +194,20 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     (source, target).
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
-    weights: dict[tuple[str, str], float] = {}
-    for first in a.pair_order:
-        for second in b.links_from(first.target):
-            pair = (first.source, second.target)
-            weights[pair] = weights.get(pair, 0.0) + first.weight * second.weight
-    # The exact sum never exceeds 1, but float accumulation can overshoot by
-    # an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the result stays a legal weight.
-    links = [(s, u, min(w, 1.0)) for (s, u), w in sorted(weights.items()) if w > 0.0]
+    links: list[Link] = []
+    for source, firsts in groupby(a.pair_order, attrgetter("source")):  # sources ascending
+        weights: dict[str, float] = {}
+        for first in firsts:
+            for second in b.links_from(first.target):
+                target = second.target
+                weights[target] = weights.get(target, 0.0) + first.weight * second.weight
+        # The exact sum never exceeds 1, but float accumulation can overshoot by
+        # an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the result stays a legal weight.
+        links.extend(
+            Link._from_clean(source, target, min(w, 1.0))
+            for target, w in sorted(weights.items())
+            if w > 0.0
+        )
     return build_crossmap(a.source_taxonomy, b.target_taxonomy, links)
 
 
@@ -204,7 +229,7 @@ def invert(crossmap: Crossmap) -> Crossmap:
         # A lone link within the sum tolerance of 1 is valid but is no crosswalk.
         first = next(l for l in crossmap.pair_order if l.weight != 1.0)
         raise NotBijective("non-unit-weight", first.source)
-    reversed_links = tuple(Link(l.target, l.source, 1.0) for l in crossmap.links)
+    reversed_links = tuple(Link._from_clean(l.target, l.source, 1.0) for l in crossmap.links)
     return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 
 

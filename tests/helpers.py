@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import random
 
-from xmap import Crossmap, IndexedSeries, LayoutPlan, build_crossmap
+from xmap import (
+    Crossmap,
+    DuplicateLink,
+    IndexedSeries,
+    LayoutPlan,
+    WeightSumViolation,
+    build_crossmap,
+)
 
 # Five-link recoding between the pre-1990 and post-1990 country lists:
 # one split (BLX), one aggregation (DEU), one self-loop (AUS).
@@ -132,6 +139,33 @@ def random_series(rng: random.Random, crossmap: Crossmap, integer: bool = False)
 
 
 # ── oracles ───────────────────────────────────────────────────────────────
+
+
+def oracle_first_defect(links: list[tuple[str, str, float]]) -> tuple[type, str] | None:
+    """The error a crossmap over ``links`` (clean labels, weights in (0, 1])
+    must raise, as (class, message), or None when the links are valid.
+
+    Duplicates come first: the smallest pair given more than once. Then sums:
+    the smallest source whose weights, added one by one in (source, target)
+    order, end more than 1e-6 away from 1.
+    """
+    counts: dict[tuple[str, str], int] = {}
+    for source, target, _ in links:
+        counts[source, target] = counts.get((source, target), 0) + 1
+    repeated = [pair for pair, count in counts.items() if count > 1]
+    if repeated:
+        source, target = min(repeated)
+        return DuplicateLink, f"duplicate link {source!r} -> {target!r}"
+    totals: dict[str, float] = {}
+    for source, _, weight in sorted(links, key=lambda link: (link[0], link[1])):
+        totals[source] = totals.get(source, 0.0) + weight
+    off = [source for source, total in totals.items() if abs(total - 1.0) > 1e-6]
+    if off:
+        source = min(off)
+        return WeightSumViolation, (
+            f"outgoing weights for source {source!r} sum to {totals[source]:.9g}, expected 1"
+        )
+    return None
 
 
 def oracle_expand_group_sum(

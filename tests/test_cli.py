@@ -126,6 +126,40 @@ def test_compose_bridges_taxonomy_names(table2, tmp_path):
     )
 
 
+def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch):
+    # Outputs built from validated links and series are not re-cleaned, so
+    # clean_label runs once per label field of the input documents: two per
+    # edge row, one per series row. Patched in every module that binds it.
+    import xmap.core
+
+    calls = []
+    original = xmap.core.clean_label
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "xmap" and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    merge = tmp_path / "merge.csv"
+    merge.write_text(MERGE_TEXT)
+    map_labels = 2 * (COUNTRY_EDGE_TEXT.count("\n") - 1)
+    merge_labels = 2 * (MERGE_TEXT.count("\n") - 1)
+    series_labels = SERIES_TEXT.count("\n") - 1
+    for argv, labels in (
+        (["transform", "--map", table2, "--data", values], map_labels + series_labels),
+        (["compose", table2, str(merge)], map_labels + merge_labels),
+        (["validate", table2], map_labels),
+    ):
+        calls.clear()
+        code, _, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert len(calls) == labels, argv
+
+
 def test_compose_uncovered_intermediate(table2, tmp_path):
     partial = tmp_path / "partial.csv"
     partial.write_text("from,to,weight\nBEL,B,1\nLUX,B,1\nDEU,D,1\n")

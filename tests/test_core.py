@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -21,7 +23,7 @@ from xmap import (
     clean_label,
     summarize,
 )
-from helpers import COUNTRY_LINKS, country_fixture
+from helpers import COUNTRY_LINKS, country_fixture, country_series
 
 
 def test_clean_label_strips_whitespace():
@@ -216,3 +218,47 @@ def test_neighbourhoods_come_back_in_pair_order():
     assert crossmap.source_categories == ("b", "a", "c")
     assert crossmap.target_categories == ("q", "p")
     assert crossmap.links[0].pair == ("b", "q")
+
+
+def _views(crossmap: Crossmap) -> tuple:
+    """Every derived view of a crossmap, computing (and caching) each one."""
+    return (
+        crossmap.pair_order,
+        crossmap.source_categories,
+        crossmap.target_categories,
+        [crossmap.links_from(s) for s in crossmap.source_categories],
+        [crossmap.links_into(t) for t in crossmap.target_categories],
+        [classify_source(crossmap, s) for s in crossmap.source_categories],
+        [classify_target(crossmap, t) for t in crossmap.target_categories],
+        summarize(crossmap),
+        crossmap.is_crosswalk,
+    )
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy, dataclasses.replace],
+    ids=["pickle", "copy", "deepcopy", "replace"],
+)
+def test_values_survive_pickle_copy_and_replace(duplicate):
+    crossmap = country_fixture()
+    views = _views(crossmap)  # cached before the value is duplicated
+    for value in (crossmap.links[0], crossmap):
+        twin = duplicate(value)
+        assert twin == value and hash(twin) == hash(value)
+    assert _views(duplicate(crossmap)) == views
+    series = country_series()
+    twin = duplicate(series)
+    assert twin == series and dict(twin.entries) == dict(series.entries)
+
+
+def test_replace_cleans_labels_and_link_stays_frozen_and_slotted():
+    link = dataclasses.replace(Link("a", "b", 0.5), source=" c ")
+    assert link == Link("c", "b", 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        link.source = "d"
+    assert not hasattr(link, "__dict__")
+    with pytest.raises(WeightOutOfRange):
+        dataclasses.replace(link, weight=0.0)
+    series = dataclasses.replace(country_series(), taxonomy="old")
+    assert dataclasses.replace(series, entries={" BLX ": 1.0}).entries == {"BLX": 1.0}

@@ -34,7 +34,7 @@ from xmap import (
 )
 from xmap.cli import run
 from xmap.viz import count_crossings
-from helpers import oracle_crossings, oracle_relabel_group_sum
+from helpers import oracle_crossings, oracle_first_defect, oracle_relabel_group_sum
 
 # label characters: anything except comma, double quote, the C0 controls
 # other than tab and the non-characters U+FFFE and U+FFFF (which clean_label
@@ -191,6 +191,32 @@ def test_duplicated_link_is_rejected(data):
     victim = crossmap.links[index]
     with pytest.raises(DuplicateLink):
         build_crossmap("alpha", "beta", list(crossmap.links) + [victim])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validation_reports_the_defect_the_oracle_finds(data):
+    # Duplicates (with any weight) and replaced weights injected into a valid
+    # map, then shuffled: the error is the smallest duplicated pair, else the
+    # smallest source off by more than the tolerance, else none.
+    crossmap = data.draw(crossmaps())
+    links = [(link.source, link.target, link.weight) for link in crossmap.links]
+    weights = st.floats(min_value=1e-3, max_value=1.0)
+    for _ in range(data.draw(st.integers(0, 2))):
+        source, target, _ = data.draw(st.sampled_from(links))
+        links.append((source, target, data.draw(weights)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        index = data.draw(st.integers(0, len(links) - 1))
+        source, target, _ = links[index]
+        links[index] = (source, target, data.draw(weights))
+    links = data.draw(st.permutations(links))
+    expected = oracle_first_defect(links)
+    if expected is None:
+        assert len(build_crossmap("alpha", "beta", links).links) == len(links)
+    else:
+        with pytest.raises(CrossmapError) as caught:
+            build_crossmap("alpha", "beta", links)
+        assert (type(caught.value), str(caught.value)) == expected
 
 
 @settings(max_examples=60, deadline=None)
