@@ -4,8 +4,9 @@ One command per invocation, no config files, no environment variables: the
 argv plus the named input files fully determine the output bytes, which go
 to stdout or, byte-identically, to the --out file. Every optional flag can
 change those bytes, so --source-name/--target-name belong to summarize
-alone, the one command that prints taxonomy names; elsewhere names are file
-stems. Diagnostics go to stderr.
+alone, the one command that prints taxonomy names (elsewhere names are file
+stems), and render's --order and --hide-unit-weights are usage errors with
+--format dot. Diagnostics go to stderr.
 
 --out naming a regular file is replaced in one rename once fully written,
 so a failed write leaves the old file; a device or a FIFO is written in
@@ -107,10 +108,16 @@ def _cmd_compose(args: argparse.Namespace) -> str:
 
 
 def _cmd_render(args: argparse.Namespace) -> str:
-    crossmap = _load_map(args.edges)
     if args.format == "dot":
-        return render_dot(crossmap)
-    plan = layout_bipartite(crossmap, NodeOrdering(args.order))
+        # DOT draws the map in input order with every weight, so the SVG
+        # layout flags would change none of its bytes.
+        if args.order is not None:
+            args.usage_error("--order applies to --format svg only")
+        if args.hide_unit_weights:
+            args.usage_error("--hide-unit-weights applies to --format svg only")
+        return render_dot(_load_map(args.edges))
+    ordering = NodeOrdering(args.order) if args.order else NodeOrdering.SPLITS_FIRST
+    plan = layout_bipartite(_load_map(args.edges), ordering)
     return render_svg(plan, hide_unit_weights=args.hide_unit_weights)
 
 
@@ -174,12 +181,11 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--order",
         choices=[ordering.value for ordering in NodeOrdering],
-        default=NodeOrdering.SPLITS_FIRST.value,
         help="row ordering for the SVG layout",
     )
     p.add_argument("--hide-unit-weights", action="store_true")
     _add_out_flag(p)
-    p.set_defaults(handler=_cmd_render)
+    p.set_defaults(handler=_cmd_render, usage_error=p.error)
 
     p = commands.add_parser("summarize", help="report structural counts")
     p.add_argument("edges", help="edge list CSV")
@@ -252,6 +258,12 @@ def _write_stdout(stream: TextIO, text: str) -> None:
         raise
 
 
+def _report_usage_error(err: UsageError, stream: TextIO) -> int:
+    print(f"error: {err}", file=stream)
+    print(err.usage.rstrip("\n"), file=stream)
+    return EXIT_USAGE
+
+
 def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     out_stream = stdout if stdout is not None else sys.stdout
     err_stream = stderr if stderr is not None else sys.stderr
@@ -259,9 +271,7 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
     try:
         args = parser.parse_args(argv)
     except UsageError as err:
-        print(f"error: {err}", file=err_stream)
-        print(err.usage.rstrip("\n"), file=err_stream)
-        return EXIT_USAGE
+        return _report_usage_error(err, err_stream)
     except SystemExit as stop:  # argparse exits itself only for --help
         return EXIT_OK if (stop.code or 0) == 0 else EXIT_USAGE
 
@@ -275,6 +285,8 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
             _replace_file(args.out, text)
         else:
             _write_stdout(out_stream, text)
+    except UsageError as err:  # a flag that the other flags leave without effect
+        return _report_usage_error(err, err_stream)
     except (DocumentError, OSError) as err:
         print(f"error: {err}", file=err_stream)
         return EXIT_DOCUMENT

@@ -108,6 +108,17 @@ class Link:
 _pair_of = attrgetter("source", "target")
 _source_of = attrgetter("source")
 _target_of = attrgetter("target")
+_weight_of = attrgetter("weight")
+
+
+def _left_to_right_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values`` added left to right. Not ``sum()``: Python
+    3.12 made float ``sum()`` compensated, so its result would depend on the
+    interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class RelationKind(Enum):
@@ -150,10 +161,7 @@ class Crossmap:
             if previous == pair:
                 raise DuplicateLink(*pair)
         for source, group in groupby(ordered, _source_of):  # sources ascending
-            # Left to right, not sum(): Python 3.12 made float sum() compensated.
-            total = 0.0
-            for link in group:
-                total += link.weight
+            total = _left_to_right_sum(map(_weight_of, group))
             if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
                 raise WeightSumViolation(source, total)
 

@@ -24,6 +24,7 @@ from .core import (
     Crossmap,
     Link,
     RelationKind,
+    _left_to_right_sum,
     build_crossmap,
     classify_source,
     classify_target,
@@ -84,9 +85,13 @@ class IndexedSeries:
         # A mappingproxy does not pickle: rebuild from a plain dict.
         return (type(self), (self.taxonomy, dict(self.entries)))
 
+    def __hash__(self) -> int:
+        # A mappingproxy does not hash: equal series have equal items.
+        return hash((self.taxonomy, frozenset(self.entries.items())))
+
     def total(self) -> float:
-        """Sum of all values, iterated in key order for determinism."""
-        return sum(self.entries[k] for k in sorted(self.entries))
+        """Sum of all values, added left to right in key order."""
+        return _left_to_right_sum(self.entries[k] for k in sorted(self.entries))
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ def apply(
     if unmatched:
         if not allow_unmatched:
             raise MissingSourceMapping(unmatched[0], extra=len(unmatched) - 1)
-        excluded = sum(abs(series.entries[k]) for k in unmatched)
+        excluded = _left_to_right_sum(abs(series.entries[k]) for k in unmatched)
         log.warning(
             "excluded %d unmatched categories (absolute mass %.6g): %s",
             len(unmatched),

@@ -93,20 +93,18 @@ class LayoutPlan:
 # ── layout ────────────────────────────────────────────────────────────────
 
 
-def _mean(values: list[int], fallback: float) -> float:
-    return sum(values) / len(values) if values else fallback
-
-
 def _rows(order: Sequence[str]) -> dict[str, int]:
     return {label: row for row, label in enumerate(order)}
 
 
-def _line_styles(step: Crossmap) -> dict[str, str]:
-    """The line style of every edge leaving each source: DASHED from a split."""
-    return {
+def _edge_look(step: Crossmap) -> tuple[dict[str, str], dict[float, str]]:
+    """How the edges of ``step`` are drawn, in SVG and DOT alike: the line
+    style leaving each source (DASHED from a split) and each weight's text."""
+    styles = {
         source: DASHED if classify_source(step, source) is RelationKind.SPLIT else SOLID
         for source in step.source_categories
     }
+    return styles, {weight: format_weight(weight) for weight in {link.weight for link in step.links}}
 
 
 def _edges(
@@ -114,8 +112,7 @@ def _edges(
 ) -> Iterator[PlannedEdge]:
     """One planned edge per link of ``step``, in pair order, from column
     ``gap`` to column ``gap + 1``."""
-    styles = _line_styles(step)
-    texts = {weight: format_weight(weight) for weight in {link.weight for link in step.links}}
+    styles, texts = _edge_look(step)
     return (
         PlannedEdge(
             tail=(gap, tail_row[link.source]),
@@ -164,22 +161,22 @@ def layout_bipartite(
     splits-first: split sources on top (stable by input order among
     themselves), one-to-one sources below; targets follow the barycenter of
     their connected source rows, ties by label. target-indegree: targets by
-    in-degree descending then label; sources by barycenter. input-order: both
-    columns in first-appearance order. Kinds and edges come from ``_place``,
-    as in :func:`layout_chain`.
+    in-degree descending then label; sources by barycenter, ties by label.
+    input-order: both columns in first-appearance order. Barycenters come
+    from one ``_sweep`` and kinds and edges from ``_place``, as in
+    :func:`layout_chain`.
     """
     sources = list(crossmap.source_categories)
     targets = list(crossmap.target_categories)
-
+    # Sorting the swept column by label first lets the stable sweep break ties by label.
     if ordering is NodeOrdering.SPLITS_FIRST:
-        styles = _line_styles(crossmap)
-        sources.sort(key=lambda s: styles[s] != DASHED)
-        src_row = _rows(sources)
-        targets.sort(key=lambda t: (_mean([src_row[l.source] for l in crossmap.links_into(t)], 0.0), t))
+        sources.sort(key=lambda s: classify_source(crossmap, s) is not RelationKind.SPLIT)
+        targets.sort()
+        _sweep(targets, sources, {t: [l.source for l in crossmap.links_into(t)] for t in targets})
     elif ordering is NodeOrdering.TARGET_INDEGREE:
         targets.sort(key=lambda t: (-crossmap.in_degree(t), t))
-        tgt_row = _rows(targets)
-        sources.sort(key=lambda s: (_mean([tgt_row[l.target] for l in crossmap.links_from(s)], 0.0), s))
+        sources.sort()
+        _sweep(sources, targets, {h: [l.target for l in crossmap.links_from(h)] for h in sources})
     # INPUT_ORDER keeps first-appearance order on both columns.
 
     return _place((crossmap,), (sources, targets))
@@ -376,12 +373,12 @@ def render_dot(crossmap: Crossmap) -> str:
     for prefix, labels in (("from", crossmap.source_categories), ("to", crossmap.target_categories)):
         nodes = [f"    {_dot_quote(f'{prefix}/{label}')} [label={_dot_quote(label)}];" for label in labels]
         lines += ["  {", "    rank=same;", *nodes, "  }"]
-    styles = _line_styles(crossmap)
+    styles, texts = _edge_look(crossmap)
     for link in crossmap.pair_order:
         dashed = ", style=dashed" if styles[link.source] == DASHED else ""
         lines.append(
             f"  {_dot_quote(f'from/{link.source}')} -> {_dot_quote(f'to/{link.target}')} "
-            f"[label={_dot_quote(format_weight(link.weight))}{dashed}];"
+            f"[label={_dot_quote(texts[link.weight])}{dashed}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -417,6 +417,27 @@ def test_name_flags_belong_to_summarize_alone(command, flag, table2, values):
     assert err.splitlines()[1].startswith("usage: ")
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ["--order", "splits-first"],
+        ["--order", "input-order"],
+        ["--order", "target-indegree"],
+        ["--hide-unit-weights"],
+    ],
+    ids=["splits-first", "input-order", "target-indegree", "hide-unit-weights"],
+)
+def test_svg_only_flags_are_usage_errors_with_dot(setting, table2, tmp_path):
+    out = tmp_path / "out.dot"
+    code, stdout, err = invoke("render", table2, "--format", "dot", *setting, "--out", str(out))
+    assert code == 3
+    assert stdout == ""
+    message, usage = err.split("\n", 1)
+    assert message == f"error: {setting[0]} applies to --format svg only"
+    assert usage.startswith("usage: xmap render ")
+    assert not out.exists()
+
+
 def xmap_writing_to(stdout, *argv: str) -> subprocess.CompletedProcess:
     # stdout buffered, as for most users, so a short result fails only at flush
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,22 @@ def test_series_entries_are_read_only():
     series = IndexedSeries("t", {"a": 1.0})
     with pytest.raises(TypeError):
         series.entries["a"] = 2.0
+
+
+def test_equal_series_hash_equal():
+    series = IndexedSeries("t", {"a": 1.0, "b": 2.5})
+    same = IndexedSeries("t", {"b": 2.5, " a ": 1})  # other key order, uncleaned label
+    assert hash(series) == hash(same)
+    assert same in {series}
+    assert {series: "found"}[same] == "found"
+    assert hash(pickle.loads(pickle.dumps(series))) == hash(series)
+    assert IndexedSeries("u", {"a": 1.0, "b": 2.5}) not in {series}
+
+
+def test_total_adds_left_to_right_on_every_interpreter():
+    # Python 3.12's compensated float sum() would give 1.6 here.
+    series = IndexedSeries("t", {"a": 0.1, "b": 0.2, "c": 0.3, "d": 1e16, "e": 1.0, "f": -1e16})
+    assert series.total() == 0.0
 
 
 def test_apply_country_fixture_exact():

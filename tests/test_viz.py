@@ -299,6 +299,26 @@ def test_chain_plans_are_pinned():
     assert hashlib.sha256(repr(layout_chain(wide)).encode()).hexdigest() == GOLDEN_WIDE_CHAIN_PLAN
 
 
+# sha256 of the column labels (top to bottom) and the edges of every
+# layout_bipartite plan below, recorded when the two-layer orderings still
+# keyed each node on (mean neighbour row, label) instead of sharing _sweep.
+GOLDEN_BIPARTITE_PLANS = "8776d0db9aecb930fd985ae469c3c4cb8ff045f28d5deda7a82ed48e6d0e49b0"
+
+
+def test_bipartite_plans_are_pinned():
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for index in range(200):
+        # Every other map is small, so many nodes tie on their barycenter.
+        size = 6 if index % 2 else 50
+        crossmap = random_crossmap(rng, max_sources=size, max_targets=size)
+        for ordering in NodeOrdering:
+            plan = layout_bipartite(crossmap, ordering)
+            columns = [rows(plan, column) for column in range(len(plan.layers))]
+            digest.update(repr((columns, plan.edges)).encode())
+    assert digest.hexdigest() == GOLDEN_BIPARTITE_PLANS
+
+
 def test_svg_with_tab_label_is_well_formed():
     from xml.dom import minidom
 
