@@ -15,13 +15,15 @@ byte-identical SVG and DOT text.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from html import escape
+from functools import cache, partial
+from itertools import pairwise
+from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .core import Crossmap, RelationKind, classify_source, classify_target
+from .core import Crossmap, RelationKind, classify_source
 from .errors import PlanMismatch
 from .io import format_weight
 from .transform import MultiStepChain
@@ -72,22 +74,45 @@ class PlannedEdge:
 @dataclass(frozen=True)
 class LayoutPlan:
     """All a renderer reads: placed nodes per column, and edges between placed
-    nodes of adjacent columns with their line style and weight text."""
+    nodes of adjacent columns with their line style and weight text.
+
+    Coordinates are grid indices: each node's ``x`` is its column's index and
+    the ``y`` values of a column are a permutation of ``range(len(column))``;
+    each edge's ``tail`` and ``head`` are ``(column, row)`` tuples of two
+    ``int`` naming placed nodes, the head one column right of the tail. A plan
+    that breaks any of this raises ``PlanMismatch`` when it is built.
+    """
 
     layers: tuple[tuple[PlacedNode, ...], ...]
     edges: tuple[PlannedEdge, ...]
 
     def __post_init__(self) -> None:
         for index, column in enumerate(self.layers):
-            if sorted(node.y for node in column) != list(range(len(column))):
-                raise PlanMismatch(f"rows of column {index} are not a permutation")
             for node in column:
+                if type(node.x) is not int or type(node.y) is not int:
+                    raise PlanMismatch(f"node {node.label!r} is not at an integer (column, row)")
                 if node.x != index:
                     raise PlanMismatch(f"node {node.label!r} is misfiled in column {index}")
-        placed = {(node.x, node.y) for column in self.layers for node in column}
+            if sorted(node.y for node in column) != list(range(len(column))):
+                raise PlanMismatch(f"rows of column {index} are not a permutation")
+        # Every column's rows are 0..size-1, so an in-range endpoint is a placed node.
+        sizes = [len(column) for column in self.layers]
         for edge in self.edges:
-            if edge.head[0] != edge.tail[0] + 1 or not (edge.tail in placed and edge.head in placed):
+            if not (_is_endpoint(edge.tail) and _is_endpoint(edge.head)):
+                raise PlanMismatch(f"edge {edge.tail!r} -> {edge.head!r} has an endpoint not of (int, int)")
+            (tail_column, tail_row), (head_column, head_row) = edge.tail, edge.head
+            if not (
+                head_column == tail_column + 1
+                and 0 <= tail_column
+                and head_column < len(sizes)
+                and 0 <= tail_row < sizes[tail_column]
+                and 0 <= head_row < sizes[head_column]
+            ):
                 raise PlanMismatch(f"edge {edge.tail} -> {edge.head} joins no adjacent placed nodes")
+
+
+def _is_endpoint(at: object) -> bool:
+    return type(at) is tuple and len(at) == 2 and type(at[0]) is int and type(at[1]) is int
 
 
 # ── layout ────────────────────────────────────────────────────────────────
@@ -101,25 +126,22 @@ def _edge_look(step: Crossmap) -> tuple[dict[str, str], dict[float, str]]:
     """How the edges of ``step`` are drawn, in SVG and DOT alike: the line
     style leaving each source (DASHED from a split) and each weight's text."""
     styles = {
-        source: DASHED if classify_source(step, source) is RelationKind.SPLIT else SOLID
-        for source in step.source_categories
+        source: DASHED if kind is RelationKind.SPLIT else SOLID
+        for source, kind in step._source_kinds.items()
     }
     return styles, {weight: format_weight(weight) for weight in {link.weight for link in step.links}}
 
 
 def _edges(
-    step: Crossmap, gap: int, tail_row: dict[str, int], head_row: dict[str, int]
+    step: Crossmap, tail_at: dict[str, tuple[int, int]], head_at: dict[str, tuple[int, int]]
 ) -> Iterator[PlannedEdge]:
-    """One planned edge per link of ``step``, in pair order, from column
-    ``gap`` to column ``gap + 1``."""
+    """One planned edge per link of ``step``, in pair order, between the
+    ``(column, row)`` endpoints of its source and its target."""
     styles, texts = _edge_look(step)
     return (
         PlannedEdge(
-            tail=(gap, tail_row[link.source]),
-            head=(gap + 1, head_row[link.target]),
-            weight=link.weight,
-            line_style=styles[link.source],
-            label_text=texts[link.weight],
+            tail_at[link.source], head_at[link.target], link.weight,
+            styles[link.source], texts[link.weight],
         )
         for link in step.pair_order
     )
@@ -128,27 +150,27 @@ def _edges(
 def _place(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> LayoutPlan:
     """Build the plan of columns ``orders`` (top to bottom) joined by ``steps``.
 
-    The one place a node's kind is decided: ``classify_source`` of the first
-    step in column 0, ``classify_target`` of the step before in later columns.
+    The one place a node's kind is decided: its source kind in the first step
+    for column 0, its target kind in the step before for later columns, where
+    a source of the next step that this step never reaches is UNIQUE.
     """
-    rows = [_rows(order) for order in orders]
-    reached = [set(step.target_categories) for step in steps]
-
-    def kind(column: int, label: str) -> RelationKind:
-        if column == 0:
-            return classify_source(steps[0], label)
-        if label in reached[column - 1]:
-            return classify_target(steps[column - 1], label)
-        return RelationKind.UNIQUE  # a source of the next step that this step never reaches
-
+    # One (column, row) tuple per node, shared by all of its edges.
+    at = [
+        {label: (column, row) for row, label in enumerate(order)} for column, order in enumerate(orders)
+    ]
+    kinds = [
+        {label: kind.value for label, kind in column_kinds.items()}
+        for column_kinds in (steps[0]._source_kinds, *(step._target_kinds for step in steps))
+    ]
+    unique = RelationKind.UNIQUE.value
     layers = tuple(
         tuple(
-            PlacedNode(label, column, row, kind(column, label).value)
-            for row, label in enumerate(order)
+            PlacedNode(label, column, row, kinds[column].get(label, unique))
+            for label, (column, row) in column_at.items()
         )
-        for column, order in enumerate(orders)
+        for column_at in at
     )
-    edges = (_edges(step, gap, rows[gap], rows[gap + 1]) for gap, step in enumerate(steps))
+    edges = (_edges(step, at[gap], at[gap + 1]) for gap, step in enumerate(steps))
     return LayoutPlan(layers, tuple(edge for gap_edges in edges for edge in gap_edges))
 
 
@@ -275,19 +297,6 @@ def target_opacity(in_degree: int) -> float:
     return min(1.0, 0.35 + 0.25 * max(in_degree - 1, 0))
 
 
-def _label_markup(label: str, x: float, y: float, attrs: str) -> str:
-    shown = label
-    title = ""
-    if len(label) > _MAX_LABEL_CHARS:
-        shown = label[: _MAX_LABEL_CHARS - 1] + "…"
-        title = f"<title>{escape(label, quote=False)}</title>"
-    return f'<text x="{_coord(x)}" y="{_coord(y)}"{attrs}>{title}{escape(shown, quote=False)}</text>'
-
-
-def _position(column: int, row: int) -> tuple[float, float]:
-    return (_PAD_X + column * _LAYER_SPACING, _PAD_Y + row * _NODE_SPACING)
-
-
 def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     """Render a plan of any number of columns as an SVG 1.1 document.
 
@@ -300,12 +309,52 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     use a fixed format, so rendering is byte-identical across runs. Weight
     labels stagger above/below edge midpoints on alternate edges;
     ``hide_unit_weights`` leaves out the labels of weight-1 edges.
+
+    Each grid coordinate is formatted once, per column or per row, and each
+    node and edge indexes those texts by the plan's integer coordinates.
     """
-    in_degree = Counter(edge.head for edge in plan.edges)
-    last = len(plan.layers) - 1
-    max_rows = max((len(column) for column in plan.layers), default=0)
+    layers = plan.layers
+    last = len(layers) - 1
+    max_rows = max((len(column) for column in layers), default=0)
     width = 2 * _PAD_X + last * _LAYER_SPACING
     height = 2 * _PAD_Y + (max_rows - 1) * _NODE_SPACING
+
+    xs = [_PAD_X + column * _LAYER_SPACING for column in range(len(layers))]
+    ys = [_PAD_Y + row * _NODE_SPACING for row in range(max_rows)]
+    node_x = [_coord(x) for x in xs]
+    node_y = [_coord(y) for y in ys]
+    tail_x = [_coord(x + _EDGE_TRIM) for x in xs]
+    head_x = [_coord(x - _EDGE_TRIM) for x in xs]
+    mid_x = [_coord((x1 + x2) / 2) for x1, x2 in pairwise(xs)]
+    # Grid values are integer-valued floats, so y1 + y2 is exact and a weight
+    # label's y depends only on its edge's row sum: above the midpoint on even
+    # edges, below it on odd ones.
+    mid_y = (
+        cache(lambda rows: _coord((2 * _PAD_Y + rows * _NODE_SPACING) / 2 - 6.0)),
+        cache(lambda rows: _coord((2 * _PAD_Y + rows * _NODE_SPACING) / 2 + 14.0)),
+    )
+    weight_text = cache(partial(escape, quote=False))
+
+    # Edges go first: their pass counts the in-degrees that shade the nodes.
+    in_degree = [[0] * len(column) for column in layers]
+    lines: list[str] = []
+    weight_labels: list[str] = []
+    for index, edge in enumerate(plan.edges):
+        (tail_column, tail_row), (head_column, head_row) = edge.tail, edge.head
+        in_degree[head_column][head_row] += 1
+        dashed = ' stroke-dasharray="6,4"' if edge.line_style == DASHED else ""
+        lines.append(
+            f'<line x1="{tail_x[tail_column]}" y1="{node_y[tail_row]}" '
+            f'x2="{head_x[head_column]}" y2="{node_y[head_row]}" '
+            f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{dashed}/>'
+        )
+        if hide_unit_weights and edge.weight == 1.0:
+            continue
+        weight_labels.append(
+            f'<text x="{mid_x[tail_column]}" y="{mid_y[index % 2](tail_row + head_row)}" '
+            f'text-anchor="middle" font-size="11" fill="{_LABEL_FILL}">'
+            f'{weight_text(edge.label_text)}</text>'
+        )
 
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -313,42 +362,38 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
         f'viewBox="0 0 {_coord(width)} {_coord(height)}">',
         '<g font-family="Helvetica, Arial, sans-serif" font-size="13" fill="#1f2933">',
     ]
-
-    for column in plan.layers:
-        for node in sorted(column, key=lambda node: node.y):
-            x, y = _position(node.x, node.y)
-            shade, label_y = "", y + 4
-            if node.x == 0:
-                split = node.style_class == RelationKind.SPLIT.value
-                face = ' font-style="italic"' if split else ' font-weight="bold"'
-                fill, label_x, attrs = _SOURCE_FILL, x - 2 * _NODE_RADIUS, f' text-anchor="end"{face}'
+    radius = _coord(_NODE_RADIUS)
+    shade = cache(lambda degree: f' fill-opacity="{_coord(target_opacity(degree))}"')
+    split = RelationKind.SPLIT.value
+    outer_label_y = [_coord(y + 4) for y in ys]
+    middle_label_y = [_coord(y - 10) for y in ys] if last > 1 else []
+    for index, column in enumerate(layers):
+        x = xs[index]
+        label_y = outer_label_y
+        if index == 0:
+            fill, label_x, anchor = _SOURCE_FILL, _coord(x - 2 * _NODE_RADIUS), ' text-anchor="end"'
+        elif index < last:  # edges leave this column on the right
+            fill, label_x, anchor = _TARGET_FILL, node_x[index], ' text-anchor="middle"'
+            label_y = middle_label_y
+        else:
+            fill, label_x, anchor = _TARGET_FILL, _coord(x + 2 * _NODE_RADIUS), ' text-anchor="start"'
+        for node in sorted(column, key=attrgetter("y")):
+            row, label, attrs, shading = node.y, node.label, anchor, ""
+            if index == 0:
+                attrs += ' font-style="italic"' if node.style_class == split else ' font-weight="bold"'
             else:
-                fill, label_x, attrs = _TARGET_FILL, x + 2 * _NODE_RADIUS, ' text-anchor="start"'
-                if node.x < last:  # edges leave this column on the right
-                    label_x, label_y, attrs = x, y - 10, ' text-anchor="middle"'
-                shade = f' fill-opacity="{_coord(target_opacity(in_degree[node.x, node.y]))}"'
+                shading = shade(in_degree[index][row])
+            title = ""
+            if len(label) > _MAX_LABEL_CHARS:
+                title = f"<title>{escape(label, quote=False)}</title>"
+                label = label[: _MAX_LABEL_CHARS - 1] + "…"
             parts.append(
-                f'<circle cx="{_coord(x)}" cy="{_coord(y)}" r="{_coord(_NODE_RADIUS)}" '
-                f'fill="{fill}"{shade}/>'
+                f'<circle cx="{node_x[index]}" cy="{node_y[row]}" r="{radius}" fill="{fill}"{shading}/>'
             )
-            parts.append(_label_markup(node.label, label_x, label_y, attrs))
-
-    weight_labels: list[str] = []
-    for index, edge in enumerate(plan.edges):
-        (x1, y1), (x2, y2) = _position(*edge.tail), _position(*edge.head)
-        dashed = ' stroke-dasharray="6,4"' if edge.line_style == DASHED else ""
-        parts.append(
-            f'<line x1="{_coord(x1 + _EDGE_TRIM)}" y1="{_coord(y1)}" '
-            f'x2="{_coord(x2 - _EDGE_TRIM)}" y2="{_coord(y2)}" '
-            f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{dashed}/>'
-        )
-        if hide_unit_weights and edge.weight == 1.0:
-            continue
-        mid_y = (y1 + y2) / 2 + (-6.0 if index % 2 == 0 else 14.0)
-        weight_labels.append(
-            f'<text x="{_coord((x1 + x2) / 2)}" y="{_coord(mid_y)}" text-anchor="middle" '
-            f'font-size="11" fill="{_LABEL_FILL}">{escape(edge.label_text, quote=False)}</text>'
-        )
+            parts.append(
+                f'<text x="{label_x}" y="{label_y[row]}"{attrs}>{title}{escape(label, quote=False)}</text>'
+            )
+    parts.extend(lines)
     parts.extend(weight_labels)
 
     parts.append("</g>")

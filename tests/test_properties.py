@@ -14,8 +14,13 @@ from xmap import (
     CrossmapError,
     DuplicateLink,
     IndexedSeries,
+    LayoutPlan,
     Link,
     NodeOrdering,
+    PlacedNode,
+    PlanMismatch,
+    PlannedEdge,
+    RelationKind,
     WeightSumViolation,
     apply,
     build_crossmap,
@@ -369,6 +374,64 @@ def test_svg_of_any_legal_labels_parses(crossmap):
     for ordering in NodeOrdering:
         svg = render_svg(layout_bipartite(crossmap, ordering))
         assert minidom.parseString(svg).documentElement.tagName == "svg"
+
+
+# Plan coordinates of every kind a caller might pass: in and out of range,
+# of the wrong number type, or not numbers at all.
+_ANY_COORDINATE = st.one_of(
+    st.integers(-2, 5), st.floats(-1, 4), st.sampled_from([True, False, None, "1"])
+)
+_ANY_ENDPOINT = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+    st.tuples(_ANY_COORDINATE, _ANY_COORDINATE),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+)
+
+
+@st.composite
+def plan_parts(draw) -> tuple[tuple, tuple]:
+    """Layers and edges for a ``LayoutPlan``. Half of them are well formed;
+    in the rest, a node coordinate is replaced now and then and about half
+    the edges join any two endpoints."""
+    broken = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(0, 4), max_size=4))
+    kinds = st.sampled_from([kind.value for kind in RelationKind])
+    layers = []
+    for column, size in enumerate(sizes):
+        nodes = []
+        for row in draw(st.permutations(range(size))):
+            x = draw(_ANY_COORDINATE) if broken and draw(st.integers(0, 9)) == 0 else column
+            y = draw(_ANY_COORDINATE) if broken and draw(st.integers(0, 9)) == 0 else row
+            nodes.append(PlacedNode(draw(label_text), x, y, draw(kinds)))
+        layers.append(tuple(nodes))
+    gaps = [gap for gap in range(len(sizes) - 1) if sizes[gap] and sizes[gap + 1]]
+    edges = []
+    for _ in range(draw(st.integers(0, 8)) if gaps or broken else 0):
+        if gaps and not (broken and draw(st.booleans())):
+            gap = draw(st.sampled_from(gaps))
+            tail = (gap, draw(st.integers(0, sizes[gap] - 1)))
+            head = (gap + 1, draw(st.integers(0, sizes[gap + 1] - 1)))
+        else:
+            tail, head = draw(_ANY_ENDPOINT), draw(_ANY_ENDPOINT)
+        weight = draw(st.sampled_from([1.0, 0.5, 0.125]))
+        style = draw(st.sampled_from(["solid", "dashed"]))
+        edges.append(PlannedEdge(tail, head, weight, style, draw(label_text)))
+    return tuple(layers), tuple(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_parts())
+def test_any_plan_is_refused_by_name_or_renders(parts):
+    layers, edges = parts
+    try:
+        plan = LayoutPlan(layers, edges)
+    except PlanMismatch:
+        return
+    for hide in (False, True):
+        document = minidom.parseString(render_svg(plan, hide_unit_weights=hide))
+        assert len(document.getElementsByTagName("circle")) == sum(map(len, layers))
+        assert len(document.getElementsByTagName("line")) == len(edges)
 
 
 # CLI byte fuzz: a valid document or a reader fuzz document, encoded as

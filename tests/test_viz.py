@@ -348,6 +348,34 @@ def test_plan_rejects_edges_off_adjacent_placed_nodes(tail, head):
         LayoutPlan(plan.layers, (PlannedEdge(tail, head, 1.0, "solid", "1"),))
 
 
+@pytest.mark.parametrize(
+    "node, tail, head",
+    [
+        (PlacedNode("BLX", 0, 0.0, "split"), (0, 0), (1, 0)),  # a float row
+        (PlacedNode("BLX", 0.0, 0, "split"), (0, 0), (1, 0)),  # a float column
+        (PlacedNode("BLX", 0, False, "split"), (0, 0), (1, 0)),  # a bool row
+        (None, (0, 0), (1, 0, 5)),  # a 3-tuple endpoint
+        (None, (0,), (1, 0)),  # a 1-tuple endpoint
+        (None, [0, 0], (1, 0)),  # a list endpoint
+        (None, (0, 0.0), (1, 0)),  # a float row in an endpoint
+        (None, (1, 0), (2, -1)),  # a negative row, which a list index would take from the end
+        (None, (-1, 0), (0, 0)),  # column -1
+    ],
+)
+def test_plan_coordinates_are_int_pairs(node, tail, head):
+    merge = build_crossmap(
+        "new", "blocs",
+        [("BEL", "BENELUX", 1.0), ("LUX", "BENELUX", 1.0), ("DEU", "DACH", 1.0), ("AUS", "DACH", 1.0)],
+    )
+    plan = layout_chain(MultiStepChain((country_fixture(), merge)))
+    layers = plan.layers
+    if node is not None:
+        first = [placed for placed in layers[0] if placed.y != 0]
+        layers = (tuple(first) + (node,),) + layers[1:]
+    with pytest.raises(PlanMismatch):
+        LayoutPlan(layers, (PlannedEdge(tail, head, 1.0, "solid", "1"),))
+
+
 def test_chain_plan_renders_every_column():
     recode = country_fixture()
     # CZE is a source of the second step that the first never reaches
@@ -457,3 +485,46 @@ def test_middle_column_labels_sit_above_their_nodes():
             assert float(text.getAttribute("y")) < float(circle.getAttribute("cy"))
     assert anchors["middle"] == ["middle"] * len(plan.layers[1])
     assert "middle" not in anchors["outer"]  # first and last columns keep their anchors
+
+
+# sha256 of render_svg output, recorded before render_svg indexed per-column
+# and per-row coordinate tables: chain plans take the middle-column label
+# branch, and the 2 000-source map has row sums large enough that every
+# midpoint y comes from a sum of two rows.
+GOLDEN_CHAIN_SVG = {
+    False: "9bf8fa9ec5faddebe86ad6e9c7ec991896ca84b4e1071e9d8b53e4d288ed5a15",
+    True: "065bd347e0965e201f5bf6f359b5635590fd2a6ac2b8c0097813893688550b6c",
+}
+GOLDEN_WIDE_CHAIN_SVG = {
+    False: "b6977f0854dbb4beaa124d5fd6d94b7801a739d25c54aa63b544047e6fd5f07a",
+    True: "dd00ab8a8fd7c331950f5e35f3bc7745c5074c92d949e547202cc7b48683673f",
+}
+GOLDEN_LARGE_SVG = {
+    ("splits-first", False): "5653e112f1993632d035366fb3f9c2624f536e6faa0e04391f53f7efe2539b00",
+    ("splits-first", True): "efd8e886633788080868acc23587e8c6d34add08dc0fb688f94c81aaab8969a4",
+    ("target-indegree", False): "46a5aeafaac671daa5c2b0e8a45f270444042b03af25b93e004f53b8aa22aa0b",
+    ("target-indegree", True): "b0c439cc9bde9c3da39ce2246c02bae905519e215901a3e47e989e77879d19a8",
+    ("input-order", False): "d3e8398a015242ecfbc84fe802f7deeb93eab946c98a02fa0901b3c843c6c212",
+    ("input-order", True): "a86190deb3dfe84e5f4c48ad18a67112cb673e6bfb6ff6d0134358a6b2e36c45",
+}
+
+
+@pytest.mark.parametrize("hide", [False, True])
+def test_chain_svg_bytes_are_pinned(hide):
+    rng = random.Random(41)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        plan = layout_chain(MultiStepChain(random_composable_pair(rng)))
+        digest.update(render_svg(plan, hide_unit_weights=hide).encode())
+    assert digest.hexdigest() == GOLDEN_CHAIN_SVG[hide]
+    wide = layout_chain(MultiStepChain(random_chain(random.Random(501), 500)))
+    assert sha256(render_svg(wide, hide_unit_weights=hide)) == GOLDEN_WIDE_CHAIN_SVG[hide]
+
+
+def test_large_two_layer_svg_bytes_are_pinned():
+    crossmap = random_chain(random.Random(2000), 2000)[0]
+    assert len(crossmap.source_categories) == 2000
+    for ordering in NodeOrdering:
+        for hide in (False, True):
+            svg = render_svg(layout_bipartite(crossmap, ordering), hide_unit_weights=hide)
+            assert sha256(svg) == GOLDEN_LARGE_SVG[ordering.value, hide], (ordering, hide)
