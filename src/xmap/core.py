@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby, pairwise
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Iterable, NoReturn, Union
 
 from .errors import (
     DuplicateLink,
@@ -121,6 +121,20 @@ def _left_to_right_sum(values: Iterable[float]) -> float:
     return total
 
 
+class _CategoryTable(dict):
+    """A table keyed by the categories of one ``side`` ("source" or "target")
+    of a crossmap, where looking up any other label raises ``UnknownCategory``."""
+
+    __slots__ = ("side",)
+
+    def __init__(self, side: str, table: dict) -> None:
+        super().__init__(table)
+        self.side = side
+
+    def __missing__(self, label: str) -> NoReturn:
+        raise UnknownCategory(label, self.side)
+
+
 class RelationKind(Enum):
     """Structural role of a category within a crossmap.
 
@@ -166,43 +180,44 @@ class Crossmap:
                 raise WeightSumViolation(source, total)
 
     # -- derived structure, each computed once on first use (the dataclass is
-    # frozen, so none of it goes stale)
+    # frozen, so none of it goes stale); each per-category table refuses an
+    # unknown label by name
 
     @cached_property
-    def _out_degrees(self) -> dict[str, int]:
-        return dict(Counter(map(_source_of, self.links)))  # first-appearance order
+    def _out_degrees(self) -> _CategoryTable:
+        return _CategoryTable("source", Counter(map(_source_of, self.links)))  # first-appearance order
 
     @cached_property
-    def _in_degrees(self) -> dict[str, int]:
-        return dict(Counter(map(_target_of, self.links)))
+    def _in_degrees(self) -> _CategoryTable:
+        return _CategoryTable("target", Counter(map(_target_of, self.links)))
 
     @cached_property
-    def _source_kinds(self) -> dict[str, RelationKind]:
-        return {
+    def _source_kinds(self) -> _CategoryTable:
+        return _CategoryTable("source", {
             source: RelationKind.SPLIT if degree > 1 else RelationKind.ONE_TO_ONE
             for source, degree in self._out_degrees.items()
-        }
+        })
 
     @cached_property
-    def _target_kinds(self) -> dict[str, RelationKind]:
-        return {
+    def _target_kinds(self) -> _CategoryTable:
+        return _CategoryTable("target", {
             target: RelationKind.AGGREGATE if degree > 1 else RelationKind.UNIQUE
             for target, degree in self._in_degrees.items()
-        }
+        })
 
     @cached_property
-    def _links_by_source(self) -> dict[str, tuple[Link, ...]]:
-        # Keys in first-appearance order, each group in pair order.
+    def _links_by_source(self) -> _CategoryTable:
+        # Each group in pair order.
         groups = {source: tuple(group) for source, group in groupby(self.pair_order, _source_of)}
-        return {source: groups[source] for source in self._out_degrees}
+        return _CategoryTable("source", groups)
 
     @cached_property
-    def _links_by_target(self) -> dict[str, tuple[Link, ...]]:
-        # Keys in first-appearance order, each group in pair order.
+    def _links_by_target(self) -> _CategoryTable:
+        # Each group in pair order.
         grouped: dict[str, list[Link]] = {target: [] for target in self._in_degrees}
         for link in self.pair_order:
             grouped[link.target].append(link)
-        return {target: tuple(group) for target, group in grouped.items()}
+        return _CategoryTable("target", {target: tuple(group) for target, group in grouped.items()})
 
     @cached_property
     def source_categories(self) -> tuple[str, ...]:
@@ -216,29 +231,17 @@ class Crossmap:
 
     def links_from(self, source: str) -> tuple[Link, ...]:
         """Outgoing links of ``source``, in pair order (by target)."""
-        try:
-            return self._links_by_source[source]
-        except KeyError:
-            raise UnknownCategory(source, "source") from None
+        return self._links_by_source[source]
 
     def links_into(self, target: str) -> tuple[Link, ...]:
         """Incoming links of ``target``, in pair order (by source)."""
-        try:
-            return self._links_by_target[target]
-        except KeyError:
-            raise UnknownCategory(target, "target") from None
+        return self._links_by_target[target]
 
     def out_degree(self, source: str) -> int:
-        try:
-            return self._out_degrees[source]
-        except KeyError:
-            raise UnknownCategory(source, "source") from None
+        return self._out_degrees[source]
 
     def in_degree(self, target: str) -> int:
-        try:
-            return self._in_degrees[target]
-        except KeyError:
-            raise UnknownCategory(target, "target") from None
+        return self._in_degrees[target]
 
     @cached_property
     def is_crosswalk(self) -> bool:
@@ -273,18 +276,12 @@ def build_crossmap(
 
 def classify_source(crossmap: Crossmap, source: str) -> RelationKind:
     """SPLIT if the source category has more than one outgoing link, else ONE_TO_ONE."""
-    try:
-        return crossmap._source_kinds[source]
-    except KeyError:
-        raise UnknownCategory(source, "source") from None
+    return crossmap._source_kinds[source]
 
 
 def classify_target(crossmap: Crossmap, target: str) -> RelationKind:
     """AGGREGATE if the target category has more than one incoming link, else UNIQUE."""
-    try:
-        return crossmap._target_kinds[target]
-    except KeyError:
-        raise UnknownCategory(target, "target") from None
+    return crossmap._target_kinds[target]
 
 
 @dataclass(frozen=True)
@@ -302,8 +299,8 @@ class CrossmapSummary:
     n_splits: int
     n_aggregates: int
     max_in_degree: int
-    most_synthetic_targets: tuple[tuple[str, int], ...]
     is_crosswalk: bool
+    most_synthetic_targets: tuple[tuple[str, int], ...]
 
 
 def summarize(crossmap: Crossmap) -> CrossmapSummary:
@@ -317,6 +314,6 @@ def summarize(crossmap: Crossmap) -> CrossmapSummary:
         n_splits=list(crossmap._source_kinds.values()).count(RelationKind.SPLIT),
         n_aggregates=list(crossmap._target_kinds.values()).count(RelationKind.AGGREGATE),
         max_in_degree=max(in_degrees.values()),
-        most_synthetic_targets=tuple(ranked),
         is_crosswalk=crossmap.is_crosswalk,
+        most_synthetic_targets=tuple(ranked),
     )

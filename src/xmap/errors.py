@@ -111,6 +111,19 @@ class MissingSourceMapping(CrossmapError):
         self.label = label
 
 
+class MassUnderflow(CrossmapError):
+    """A nonzero value times a split weight falls below the smallest normal
+    float, so part or all of the mass sent along the link would be lost."""
+
+    def __init__(self, source: str, target: str):
+        super().__init__(
+            f"the share of {source!r} sent to {target!r} underflows the smallest normal float; "
+            "its mass would be lost"
+        )
+        self.source = source
+        self.target = target
+
+
 class UncoveredIntermediate(CrossmapError):
     """An intermediate category is not carried forward; mass through it would be lost."""
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator
 
 from .core import Crossmap, CrossmapSummary, Link, build_crossmap
 from .errors import (
@@ -62,19 +62,25 @@ def _lines(text: str) -> list[str]:
     return [line.rstrip("\r") for line in lines]
 
 
+def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, stripped fields) for each line after the header,
+    refusing a row without ``width`` fields as "expected {width} {what}"."""
+    for number, line in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != width:
+            raise ParseError(number, f"expected {width} {what}, found {len(cells)}")
+        yield number, cells
+
+
 def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Check the header line, then yield (line number, stripped fields) for
-    each row, every row carrying as many fields as the header names."""
+    """Check the header line, then return an iterator of (line number,
+    stripped fields) for each row, every row carrying as many fields as the
+    header names."""
     lines = _lines(text)
     if not lines or lines[0] != header:
         found = lines[0] if lines else ""
         raise ParseError(1, f"expected header {header!r}, found {found!r}")
-    width = header.count(",") + 1
-    for number, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != width:
-            raise ParseError(number, f"expected {width} fields ({header}), found {len(fields)}")
-        yield number, fields
+    return _rows(lines, header.count(",") + 1, f"fields ({header})")
 
 
 def _number(text: str, line: int, what: str) -> float:
@@ -121,13 +127,17 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
         raise err.at_line(rows[-1] + 2)
 
 
+def _document(header: str, rows: Iterable[str]) -> str:
+    """The header line, then one line per row, each ending in "\\n"."""
+    return "\n".join([header, *rows]) + "\n"
+
+
 def write_edge_list(crossmap: Crossmap) -> str:
     """Emit an edge-list document, rows in stored link order."""
-    rows = [EDGE_LIST_HEADER]
-    rows.extend(
-        f"{link.source},{link.target},{format_weight(link.weight)}" for link in crossmap.links
+    return _document(
+        EDGE_LIST_HEADER,
+        (f"{link.source},{link.target},{format_weight(link.weight)}" for link in crossmap.links),
     )
-    return "\n".join(rows) + "\n"
 
 
 # ── wide crosswalk tables ─────────────────────────────────────────────────
@@ -151,13 +161,8 @@ def read_crosswalk_table(text: str) -> WideCrosswalkDocument:
         raise ParseError(1, "empty column name in header")
     if len(set(columns)) != len(columns):
         raise ParseError(1, "duplicate column name in header")
-    rows: list[tuple[str, ...]] = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = tuple(c.strip() for c in line.split(","))
-        if len(cells) != len(columns):
-            raise ParseError(number, f"expected {len(columns)} cells, found {len(cells)}")
-        rows.append(cells)
-    return WideCrosswalkDocument(columns, tuple(rows))
+    rows = tuple(tuple(cells) for _, cells in _rows(lines, len(columns), "cells"))
+    return WideCrosswalkDocument(columns, rows)
 
 
 def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> Crossmap:
@@ -217,16 +222,13 @@ def read_series(text: str, taxonomy: str) -> IndexedSeries:
 
 def write_series(series: IndexedSeries) -> str:
     """Emit a "key,value" document, rows sorted by key ascending."""
-    rows = [SERIES_HEADER]
-    rows.extend(f"{key},{format_value(series.entries[key])}" for key in sorted(series.entries))
-    return "\n".join(rows) + "\n"
+    entries = series.entries
+    return _document(SERIES_HEADER, (f"{key},{format_value(entries[key])}" for key in sorted(entries)))
 
 
 def write_panel(panel: HarmonisedPanel) -> str:
     """Emit a long-format panel document in stored row order."""
-    rows = [PANEL_HEADER]
-    rows.extend(f"{r.unit},{r.key},{format_value(r.value)}" for r in panel.rows)
-    return "\n".join(rows) + "\n"
+    return _document(PANEL_HEADER, (f"{r.unit},{r.key},{format_value(r.value)}" for r in panel.rows))
 
 
 # ── summary reports ───────────────────────────────────────────────────────
@@ -234,14 +236,5 @@ def write_panel(panel: HarmonisedPanel) -> str:
 
 def write_summary_json(summary: CrossmapSummary) -> str:
     """Serialise a summary as one compact JSON object with fixed key order."""
-    payload = {
-        "n_sources": summary.n_sources,
-        "n_targets": summary.n_targets,
-        "n_links": summary.n_links,
-        "n_splits": summary.n_splits,
-        "n_aggregates": summary.n_aggregates,
-        "max_in_degree": summary.max_in_degree,
-        "is_crosswalk": summary.is_crosswalk,
-        "most_synthetic_targets": [[label, deg] for label, deg in summary.most_synthetic_targets],
-    }
+    payload = {field.name: getattr(summary, field.name) for field in fields(summary)}
     return json.dumps(payload, separators=(",", ":"))

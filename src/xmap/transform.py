@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -25,6 +26,7 @@ from .core import (
     Link,
     RelationKind,
     _left_to_right_sum,
+    _weight_of,
     build_crossmap,
     classify_source,
     classify_target,
@@ -34,6 +36,7 @@ from .errors import (
     CrossmapError,
     DuplicateKey,
     DuplicateUnit,
+    MassUnderflow,
     MissingSourceMapping,
     NonFiniteValue,
     NotBijective,
@@ -43,6 +46,8 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
+
+_FLOOR = sys.float_info.min  # the smallest normal float: a product below it has lost precision
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,8 @@ class IndexedSeries:
 
     @classmethod
     def _from_clean(cls, taxonomy: str, entries: dict[str, float]) -> IndexedSeries:
-        """A series over float values keyed by labels of a validated crossmap:
-        only finiteness is checked, as the labels were cleaned when the map
-        was built. ``entries`` is taken over, not copied."""
-        if not all(map(math.isfinite, entries.values())):
-            label = next(key for key, value in entries.items() if not math.isfinite(value))
-            raise NonFiniteValue(label, entries[label])
+        """A series over finite float values keyed by labels of a validated
+        crossmap, built with no check. ``entries`` is taken over, not copied."""
         series = object.__new__(cls)
         object.__setattr__(series, "taxonomy", taxonomy)
         object.__setattr__(series, "entries", MappingProxyType(entries))
@@ -159,7 +160,10 @@ def apply(
     A data category with no outgoing link raises ``MissingSourceMapping``
     unless ``allow_unmatched`` is set, in which case its mass is excluded and
     a warning is logged -- silent mass loss is the worst failure mode here.
-    A weighted sum that overflows raises a ``CrossmapError`` naming the target.
+    A nonzero value whose product with a weight other than 1 falls below the
+    smallest normal float would lose mass in the result, so it raises
+    ``MassUnderflow`` naming the link; a weighted sum that overflows raises a
+    ``CrossmapError`` naming the target.
     """
     if series.taxonomy != crossmap.source_taxonomy:
         raise TaxonomyMismatch(crossmap.source_taxonomy, series.taxonomy)
@@ -177,13 +181,24 @@ def apply(
             ", ".join(unmatched[:5]) + ("..." if len(unmatched) > 5 else ""),
         )
 
+    entries = series.entries
+    # The smallest nonzero |value| times the smallest weight bounds every
+    # product from below, so a series of normal magnitudes scans no link.
+    weakest = min(map(_weight_of, crossmap.links))
+    smallest = min(filter(None, map(abs, entries.values())), default=math.inf)
+    if weakest < 1.0 and smallest * weakest < _FLOOR:
+        for link in crossmap.pair_order:
+            value = entries.get(link.source, 0.0)
+            if value and link.weight != 1.0 and abs(link.weight * value) < _FLOOR:
+                raise MassUnderflow(link.source, link.target)
+
     totals = {target: 0.0 for target in crossmap.target_categories}
     for link in crossmap.pair_order:
-        totals[link.target] += link.weight * series.entries.get(link.source, 0.0)
-    try:
-        return IndexedSeries._from_clean(crossmap.target_taxonomy, totals)
-    except NonFiniteValue as err:  # the inputs were finite, so the sum overflowed
-        raise CrossmapError(f"value for target {err.label!r} overflows to {err.value!r}") from None
+        totals[link.target] += link.weight * entries.get(link.source, 0.0)
+    if not all(map(math.isfinite, totals.values())):  # the inputs were finite, so a sum overflowed
+        target = next(target for target, total in totals.items() if not math.isfinite(total))
+        raise CrossmapError(f"value for target {target!r} overflows to {totals[target]!r}")
+    return IndexedSeries._from_clean(crossmap.target_taxonomy, totals)
 
 
 def compose(a: Crossmap, b: Crossmap) -> Crossmap:

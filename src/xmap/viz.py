@@ -23,8 +23,8 @@ from itertools import pairwise
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .core import Crossmap, RelationKind, classify_source
-from .errors import PlanMismatch
+from .core import Crossmap, RelationKind, classify_source, clean_label
+from .errors import InvalidLabel, PlanMismatch
 from .io import format_weight
 from .transform import MultiStepChain
 
@@ -79,8 +79,10 @@ class LayoutPlan:
     Coordinates are grid indices: each node's ``x`` is its column's index and
     the ``y`` values of a column are a permutation of ``range(len(column))``;
     each edge's ``tail`` and ``head`` are ``(column, row)`` tuples of two
-    ``int`` naming placed nodes, the head one column right of the tail. A plan
-    that breaks any of this raises ``PlanMismatch`` when it is built.
+    ``int`` naming placed nodes, the head one column right of the tail. Node
+    labels and edge texts are ``str`` that :func:`clean_label` keeps as they
+    are. A plan that breaks any of this raises ``PlanMismatch`` when it is
+    built.
     """
 
     layers: tuple[tuple[PlacedNode, ...], ...]
@@ -89,6 +91,8 @@ class LayoutPlan:
     def __post_init__(self) -> None:
         for index, column in enumerate(self.layers):
             for node in column:
+                if not _is_clean(node.label):
+                    raise PlanMismatch(f"node label {node.label!r} is not a clean label")
                 if type(node.x) is not int or type(node.y) is not int:
                     raise PlanMismatch(f"node {node.label!r} is not at an integer (column, row)")
                 if node.x != index:
@@ -109,10 +113,23 @@ class LayoutPlan:
                 and 0 <= head_row < sizes[head_column]
             ):
                 raise PlanMismatch(f"edge {edge.tail} -> {edge.head} joins no adjacent placed nodes")
+            if not isinstance(edge.label_text, str):
+                raise PlanMismatch(f"edge text {edge.label_text!r} is not a str")
+        for text in dict.fromkeys(edge.label_text for edge in self.edges):
+            if not _is_clean(text):
+                raise PlanMismatch(f"edge text {text!r} is not a clean label")
 
 
 def _is_endpoint(at: object) -> bool:
     return type(at) is tuple and len(at) == 2 and type(at[0]) is int and type(at[1]) is int
+
+
+def _is_clean(text: object) -> bool:
+    """Whether ``text`` is a ``str`` that :func:`clean_label` keeps as it is."""
+    try:
+        return isinstance(text, str) and clean_label(text) == text
+    except InvalidLabel:
+        return False
 
 
 # ── layout ────────────────────────────────────────────────────────────────

@@ -8,6 +8,8 @@ tautology.
 from __future__ import annotations
 
 import random
+import sys
+from fractions import Fraction
 
 from xmap import (
     Crossmap,
@@ -179,6 +181,21 @@ def oracle_expand_group_sum(
     for target, contribution in expanded:
         grouped[target] = grouped.get(target, 0.0) + contribution
     return grouped
+
+
+def oracle_underflowing_links(
+    links: list[tuple[str, str, float]], values: dict[str, float]
+) -> set[tuple[str, str]]:
+    """Pairs whose nonzero source value times a weight other than 1 is, in
+    exact rational arithmetic, below the smallest normal float."""
+    floor = Fraction(sys.float_info.min)
+    return {
+        (source, target)
+        for source, target, weight in links
+        if weight != 1.0
+        and values.get(source, 0.0) != 0.0
+        and abs(Fraction(weight) * Fraction(values[source])) < floor
+    }
 
 
 def oracle_relabel_group_sum(mapping: dict[str, str], values: dict[str, float]) -> dict[str, float]:

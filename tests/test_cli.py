@@ -206,6 +206,21 @@ def test_transform_overflow_is_exit_1(tmp_path):
     assert "'t'" in err
 
 
+def test_transform_underflow_is_exit_1(tmp_path):
+    # Half of the smallest subnormal rounds to zero: the mass would vanish.
+    edges = tmp_path / "split.csv"
+    edges.write_text("from,to,weight\n0,0,0.5\n0,1,0.5\n")
+    data = tmp_path / "tiny.csv"
+    data.write_text("key,value\n0,5e-324\n")
+    code, out, err = invoke("transform", "--map", str(edges), "--data", str(data))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: the share of '0' sent to '0' underflows the smallest normal float; "
+        "its mass would be lost\n"
+    )
+
+
 def test_summarize_text_and_json(table2):
     code, out, _ = invoke("summarize", table2)
     assert code == 0
@@ -318,11 +333,18 @@ def test_cli_import_loads_no_network_or_sax_modules():
     # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl,
     # which cost every command tens of milliseconds of start-up
     heavy = ["urllib.request", "http.client", "email", "ssl", "xml.sax"]
-    probe = f"import sys, xmap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # The library is stdlib-only: every module its import loads (not those the
+    # interpreter's site start-up loaded before it) is stdlib or xmap's own.
+    probe = (
+        "import sys; before = set(sys.modules); import xmap, xmap.cli, xmap.viz; "
+        f"print([m for m in {heavy!r} if m in sys.modules]); "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.partition('.')[0] not in sys.stdlib_module_names | {'xmap'}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("command", ["validate", "transform", "import-crosswalk"])

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from functools import partial
 
 import pytest
 
@@ -99,10 +100,18 @@ def test_degrees_and_neighbourhoods():
     assert crossmap.in_degree("DEU") == 2
     assert [l.target for l in crossmap.links_from("BLX")] == ["BEL", "LUX"]
     assert [l.source for l in crossmap.links_into("DEU")] == ["E.GER", "W.GER"]
-    with pytest.raises(UnknownCategory):
-        crossmap.links_from("NOPE")
-    with pytest.raises(UnknownCategory):
-        crossmap.links_into("NOPE")
+    for lookup, side in (
+        (crossmap.links_from, "source"),
+        (crossmap.links_into, "target"),
+        (crossmap.out_degree, "source"),
+        (crossmap.in_degree, "target"),
+        (partial(classify_source, crossmap), "source"),
+        (partial(classify_target, crossmap), "target"),
+    ):
+        with pytest.raises(UnknownCategory) as caught:
+            lookup("NOPE")
+        assert str(caught.value) == f"'NOPE' is not a {side} category of this crossmap"
+        assert (caught.value.label, caught.value.side) == ("NOPE", side)
 
 
 def test_classification():
