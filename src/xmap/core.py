@@ -81,28 +81,35 @@ class Link:
     weight: float
 
     def __post_init__(self) -> None:
-        self._set(clean_label(self.source), clean_label(self.target), self.weight)
+        source, target = clean_label(self.source), clean_label(self.target)
+        _fill_link(self, source, target, float(self.weight))
 
     @classmethod
     def _from_clean(cls, source: str, target: str, weight: float) -> Link:
-        """A link whose labels come from validated links: only the weight is
-        checked, as the labels were cleaned when those links were built."""
+        """A link from labels ``clean_label`` already returned and a float
+        weight: only the weight's range is checked."""
         link = object.__new__(cls)
-        link._set(source, target, weight)
+        _fill_link(link, source, target, weight)
         return link
-
-    def _set(self, source: str, target: str, weight: float) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        weight = float(weight)
-        object.__setattr__(self, "weight", weight)
-        # NaN fails both comparisons below, so non-finite weights land here too.
-        if not (0.0 < weight <= 1.0):
-            raise WeightOutOfRange(source, target, weight)
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.source, self.target)
+
+
+# The slot descriptors write a field without the frozen class's __setattr__.
+_set_source = Link.__dict__["source"].__set__
+_set_target = Link.__dict__["target"].__set__
+_set_weight = Link.__dict__["weight"].__set__
+
+
+def _fill_link(link: Link, source: str, target: str, weight: float) -> None:
+    # NaN fails both comparisons below, so non-finite weights land here too.
+    if not (0.0 < weight <= 1.0):
+        raise WeightOutOfRange(source, target, weight)
+    _set_source(link, source)
+    _set_target(link, target)
+    _set_weight(link, weight)
 
 
 _pair_of = attrgetter("source", "target")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-from .core import Crossmap, CrossmapSummary, Link, build_crossmap
+from .core import Crossmap, CrossmapSummary, Link, build_crossmap, clean_label
 from .errors import (
     CrossmapError,
     DuplicateKey,
@@ -63,10 +63,10 @@ def _lines(text: str) -> list[str]:
 
 
 def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, stripped fields) for each line after the header,
+    """Yield (line number, fields as written) for each line after the header,
     refusing a row without ``width`` fields as "expected {width} {what}"."""
     for number, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
+        cells = line.split(",")
         if len(cells) != width:
             raise ParseError(number, f"expected {width} {what}, found {len(cells)}")
         yield number, cells
@@ -74,7 +74,7 @@ def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, list[s
 
 def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """Check the header line, then return an iterator of (line number,
-    stripped fields) for each row, every row carrying as many fields as the
+    fields as written) for each row, every row carrying as many fields as the
     header names."""
     lines = _lines(text)
     if not lines or lines[0] != header:
@@ -94,6 +94,23 @@ def _number(text: str, line: int, what: str) -> float:
     raise ParseError(line, f"invalid {what} {text!r}")
 
 
+class _Labels(dict):
+    """Cleaned labels keyed by the cell text they were read from, each text
+    cleaned on its first lookup. With ``trim``, a text is trimmed before
+    ``clean_label`` sees it, so an error names the trimmed text. A text that
+    fails is not stored, so every lookup of it fails the same way."""
+
+    __slots__ = ("trim",)
+
+    def __init__(self, trim: bool) -> None:
+        super().__init__()
+        self.trim = trim
+
+    def __missing__(self, text: str) -> str:
+        label = self[text] = clean_label(text.strip() if self.trim else text)
+        return label
+
+
 # ── edge lists ────────────────────────────────────────────────────────────
 
 
@@ -105,14 +122,24 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     :func:`import_crosswalk` instead). Row-local defects are reported first,
     in line order; crossmap validation failures come after, with the line of
     the duplicate's second occurrence or of the violating source's last row.
+    Within a row the field count is checked first, then the weight text and
+    its finiteness, the source label, the target label and the weight range.
+    Each distinct label text and weight text is checked once: a defect on a
+    repeated text is reported at its first row.
     """
+    labels = _Labels(trim=True)
+    weights: dict[str, float] = {}  # weight text -> finite float
     links: list[Link] = []
     for number, (raw_from, raw_to, raw_weight) in _records(text, EDGE_LIST_HEADER):
-        weight = _number(raw_weight, number, "weight")
-        if not math.isfinite(weight):
-            raise ParseError(number, f"invalid weight {raw_weight!r}")
+        weight = weights.get(raw_weight)
+        if weight is None:
+            stripped = raw_weight.strip()
+            weight = _number(stripped, number, "weight")
+            if not math.isfinite(weight):
+                raise ParseError(number, f"invalid weight {stripped!r}")
+            weights[raw_weight] = weight
         try:
-            links.append(Link(raw_from, raw_to, weight))
+            links.append(Link._from_clean(labels[raw_from], labels[raw_to], weight))
         except CrossmapError as err:
             raise err.at_line(number)
 
@@ -161,7 +188,9 @@ def read_crosswalk_table(text: str) -> WideCrosswalkDocument:
         raise ParseError(1, "empty column name in header")
     if len(set(columns)) != len(columns):
         raise ParseError(1, "duplicate column name in header")
-    rows = tuple(tuple(cells) for _, cells in _rows(lines, len(columns), "cells"))
+    rows = tuple(
+        tuple(cell.strip() for cell in cells) for _, cells in _rows(lines, len(columns), "cells")
+    )
     return WideCrosswalkDocument(columns, rows)
 
 
@@ -171,6 +200,7 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     Each row becomes one link with weight 1; the column names become the
     taxonomy names. The from-column must map each source code once. Any
     descriptive columns (human-readable names and the like) are dropped.
+    Each distinct code text is cleaned once per table.
     """
     for name in (from_col, to_col):
         if name not in doc.columns:
@@ -178,6 +208,7 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     from_idx = doc.columns.index(from_col)
     to_idx = doc.columns.index(to_col)
 
+    labels = _Labels(trim=False)
     links: list[Link] = []
     seen_sources: set[str] = set()
     for number, row in enumerate(doc.rows, start=2):
@@ -185,13 +216,13 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
             if not row[idx]:
                 raise EmptyCell(number, name)
         try:
-            link = Link(row[from_idx], row[to_idx], 1.0)
+            source, target = labels[row[from_idx]], labels[row[to_idx]]
         except CrossmapError as err:
             raise err.at_line(number)
-        if link.source in seen_sources:
-            raise DuplicateSourceCode(link.source).at_line(number)
-        seen_sources.add(link.source)
-        links.append(link)
+        if source in seen_sources:
+            raise DuplicateSourceCode(source).at_line(number)
+        seen_sources.add(source)
+        links.append(Link._from_clean(source, target, 1.0))
     return build_crossmap(from_col, to_col, links)
 
 
@@ -206,7 +237,8 @@ def read_series(text: str, taxonomy: str) -> IndexedSeries:
     :class:`IndexedSeries`, and their errors get the key's line attached.
     """
     entries: dict[str, float] = {}
-    for number, (key, raw_value) in _records(text, SERIES_HEADER):
+    for number, cells in _records(text, SERIES_HEADER):
+        key, raw_value = cells[0].strip(), cells[1].strip()
         if key in entries:
             raise DuplicateKey(key).at_line(number)
         entries[key] = _number(raw_value, number, "value")

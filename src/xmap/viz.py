@@ -61,6 +61,15 @@ class PlacedNode:
     y: int  # row index within the column
     style_class: str  # the RelationKind value of the node's role
 
+    @classmethod
+    def _of(cls, label: str, x: int, y: int, style_class: str) -> PlacedNode:
+        """``PlacedNode(label, x, y, style_class)``, its fields written
+        straight into the instance dict, past the frozen ``__setattr__``."""
+        node = object.__new__(cls)
+        fields = node.__dict__
+        fields["label"], fields["x"], fields["y"], fields["style_class"] = label, x, y, style_class
+        return node
+
 
 @dataclass(frozen=True)
 class PlannedEdge:
@@ -69,6 +78,19 @@ class PlannedEdge:
     weight: float
     line_style: str  # SOLID or DASHED; dashed iff the tail node is a split
     label_text: str
+
+    @classmethod
+    def _of(
+        cls, tail: tuple[int, int], head: tuple[int, int], weight: float, line_style: str, label_text: str
+    ) -> PlannedEdge:
+        """``PlannedEdge(tail, head, weight, line_style, label_text)``, its
+        fields written straight into the instance dict, past the frozen
+        ``__setattr__``."""
+        edge = object.__new__(cls)
+        fields = edge.__dict__
+        fields["tail"], fields["head"], fields["weight"] = tail, head, weight
+        fields["line_style"], fields["label_text"] = line_style, label_text
+        return edge
 
 
 @dataclass(frozen=True)
@@ -119,6 +141,19 @@ class LayoutPlan:
             if not _is_clean(text):
                 raise PlanMismatch(f"edge text {text!r} is not a clean label")
 
+    @classmethod
+    def _placed(
+        cls, layers: tuple[tuple[PlacedNode, ...], ...], edges: tuple[PlannedEdge, ...]
+    ) -> LayoutPlan:
+        """A plan ``_place`` built, without the checks above: its labels come
+        from validated links, its coordinates from ``enumerate`` and each
+        edge's text from ``format_weight``. The tests check that the public
+        constructor accepts every such plan unchanged."""
+        plan = object.__new__(cls)
+        fields = plan.__dict__
+        fields["layers"], fields["edges"] = layers, edges
+        return plan
+
 
 def _is_endpoint(at: object) -> bool:
     return type(at) is tuple and len(at) == 2 and type(at[0]) is int and type(at[1]) is int
@@ -156,7 +191,7 @@ def _edges(
     ``(column, row)`` endpoints of its source and its target."""
     styles, texts = _edge_look(step)
     return (
-        PlannedEdge(
+        PlannedEdge._of(
             tail_at[link.source], head_at[link.target], link.weight,
             styles[link.source], texts[link.weight],
         )
@@ -182,13 +217,13 @@ def _place(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> Layout
     unique = RelationKind.UNIQUE.value
     layers = tuple(
         tuple(
-            PlacedNode(label, column, row, kinds[column].get(label, unique))
+            PlacedNode._of(label, column, row, kinds[column].get(label, unique))
             for label, (column, row) in column_at.items()
         )
         for column_at in at
     )
     edges = (_edges(step, at[gap], at[gap + 1]) for gap, step in enumerate(steps))
-    return LayoutPlan(layers, tuple(edge for gap_edges in edges for edge in gap_edges))
+    return LayoutPlan._placed(layers, tuple(edge for gap_edges in edges for edge in gap_edges))
 
 
 def layout_bipartite(

@@ -7,6 +7,7 @@ tautology.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -14,8 +15,12 @@ from fractions import Fraction
 from xmap import (
     Crossmap,
     DuplicateLink,
+    EmptyCrossmap,
     IndexedSeries,
+    InvalidLabel,
     LayoutPlan,
+    ParseError,
+    WeightOutOfRange,
     WeightSumViolation,
     build_crossmap,
 )
@@ -151,13 +156,20 @@ def oracle_first_defect(links: list[tuple[str, str, float]]) -> tuple[type, str]
     the smallest source whose weights, added one by one in (source, target)
     order, end more than 1e-6 away from 1.
     """
+    found = _first_map_defect(links)
+    return None if found is None else found[:2]
+
+
+def _first_map_defect(links: list[tuple[str, str, float]]) -> tuple[type, str, tuple] | None:
+    """:func:`oracle_first_defect`'s (class, message), and the duplicated
+    pair or the violating source as a 1-tuple."""
     counts: dict[tuple[str, str], int] = {}
     for source, target, _ in links:
         counts[source, target] = counts.get((source, target), 0) + 1
     repeated = [pair for pair, count in counts.items() if count > 1]
     if repeated:
         source, target = min(repeated)
-        return DuplicateLink, f"duplicate link {source!r} -> {target!r}"
+        return DuplicateLink, f"duplicate link {source!r} -> {target!r}", (source, target)
     totals: dict[str, float] = {}
     for source, _, weight in sorted(links, key=lambda link: (link[0], link[1])):
         totals[source] = totals.get(source, 0.0) + weight
@@ -166,8 +178,89 @@ def oracle_first_defect(links: list[tuple[str, str, float]]) -> tuple[type, str]
         source = min(off)
         return WeightSumViolation, (
             f"outgoing weights for source {source!r} sum to {totals[source]:.9g}, expected 1"
-        )
+        ), (source,)
     return None
+
+
+# Characters a label may not hold, by name, in the order they are looked for.
+_NAMED_LABEL_DEFECTS = (
+    (",", "comma"), ("\n", "newline"), ("\r", "carriage return"), ('"', "double quote")
+)
+
+
+def _label_defect(label: str) -> str | None:
+    """Why a trimmed cell is no label, or None: empty, a named character, then
+    the first C0 control other than tab, surrogate or U+FFFE/U+FFFF."""
+    if label == "":
+        return "empty after trimming whitespace"
+    for char, name in _NAMED_LABEL_DEFECTS:
+        if char in label:
+            return f"contains a {name} character"
+    for char in label:
+        if ord(char) < 0x20 and char != "\t":
+            return f"contains control character {char!r}"
+        if 0xD800 <= ord(char) <= 0xDFFF or char in ("\ufffe", "\uffff"):
+            return f"contains non-XML character {char!r}"
+    return None
+
+
+def _weight_or_none(text: str) -> float | None:
+    """The finite float an ASCII number text without underscores spells, or None."""
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def oracle_read_edge_list(
+    text: str,
+) -> tuple[type, str, int | None] | list[tuple[str, str, float]]:
+    """What reading ``text`` as an edge list must give: the (source, target,
+    weight) rows, or the first error as (class, message, line).
+
+    Each row in line order: its field count, its weight text, then its source
+    and target labels, then its weight range. Only when every row passes, the
+    map-level defect :func:`oracle_first_defect` finds, on the line of a
+    duplicated pair's second row or of a violating source's last row.
+    """
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    if lines[-1] == "":
+        del lines[-1]
+    if not lines or lines[0] != "from,to,weight":
+        found = lines[0] if lines else ""
+        return ParseError, f"parse error: expected header 'from,to,weight', found {found!r}", 1
+    rows: list[tuple[str, str, float]] = []
+    for number in range(2, len(lines) + 1):
+        cells = [cell.strip() for cell in lines[number - 1].split(",")]
+        if len(cells) != 3:
+            reason = f"expected 3 fields (from,to,weight), found {len(cells)}"
+            return ParseError, f"parse error: {reason}", number
+        source, target, weight_text = cells
+        weight = _weight_or_none(weight_text)
+        if weight is None:
+            return ParseError, f"parse error: invalid weight {weight_text!r}", number
+        for label in (source, target):
+            reason = _label_defect(label)
+            if reason is not None:
+                return InvalidLabel, f"invalid category label {label!r}: {reason}", number
+        if not 0.0 < weight <= 1.0:
+            return WeightOutOfRange, (
+                f"link {source!r} -> {target!r} has weight {weight!r}; "
+                "weights must satisfy 0 < weight <= 1 (omit the link for zero)"
+            ), number
+        rows.append((source, target, weight))
+    if not rows:
+        return EmptyCrossmap, "crossmap has no links; a mapping with no links transforms nothing", None
+    found = _first_map_defect(rows)
+    if found is None:
+        return rows
+    error, message, key = found
+    # rows[i] sits on line i + 2; the key is a pair, or a source alone.
+    at = [i for i, row in enumerate(rows) if row[: len(key)] == key]
+    return error, message, (at[1] if error is DuplicateLink else at[-1]) + 2
 
 
 def oracle_expand_group_sum(

@@ -127,9 +127,12 @@ def test_compose_bridges_taxonomy_names(table2, tmp_path):
 
 
 def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch):
-    # Outputs built from validated links and series are not re-cleaned, so
-    # clean_label runs once per label field of the input documents: two per
-    # edge row, one per series row. Patched in every module that binds it.
+    # Readers clean each distinct raw label text once per document, and
+    # outputs built from validated links and series are not re-cleaned. A
+    # split source repeats on each of its rows and an aggregate target on each
+    # of its rows, and " DEU" and "DEU" are two raw texts of one label, so the
+    # count of distinct texts is below the count of label fields. Patched in
+    # every module that binds clean_label.
     import xmap.core
 
     calls = []
@@ -144,11 +147,26 @@ def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch)
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    merge_text = (
+        "from,to,weight\n"
+        "BEL,BENELUX,1\n"
+        "LUX,BENELUX,1\n"
+        " DEU,DACH,0.5\n"
+        "DEU ,CENTRAL,0.5\n"
+        "AUS,DACH,1\n"
+    )
     merge = tmp_path / "merge.csv"
-    merge.write_text(MERGE_TEXT)
-    map_labels = 2 * (COUNTRY_EDGE_TEXT.count("\n") - 1)
-    merge_labels = 2 * (MERGE_TEXT.count("\n") - 1)
-    series_labels = SERIES_TEXT.count("\n") - 1
+    merge.write_text(merge_text)
+
+    def label_texts(text: str) -> tuple[int, int]:
+        """(distinct raw label texts, label fields) of an edge list."""
+        cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")[:2]]
+        return len(set(cells)), len(cells)
+
+    map_labels, map_fields = label_texts(COUNTRY_EDGE_TEXT)
+    merge_labels, merge_fields = label_texts(merge_text)
+    assert map_labels < map_fields and merge_labels < merge_fields
+    series_labels = SERIES_TEXT.count("\n") - 1  # keys never repeat
     for argv, labels in (
         (["transform", "--map", table2, "--data", values], map_labels + series_labels),
         (["compose", table2, str(merge)], map_labels + merge_labels),

@@ -10,6 +10,7 @@ from xmap import (
     DuplicateSourceCode,
     EmptyCell,
     IndexedSeries,
+    InvalidLabel,
     MissingColumn,
     NonFiniteValue,
     ParseError,
@@ -27,6 +28,7 @@ from xmap import (
     write_series,
     write_summary_json,
 )
+from xmap.io import WideCrosswalkDocument
 from xmap.io import format_value, format_weight
 from helpers import (
     COUNTRY_EDGE_TEXT,
@@ -219,6 +221,26 @@ def test_import_crosswalk_empty_cell():
     # empty cells outside the selected pair are ignored
     walk = import_crosswalk(doc, "a", "c")
     assert walk.links[0].pair == ("x", "1")
+
+
+def test_import_crosswalk_cleans_each_code_text_once(monkeypatch):
+    import xmap.io
+
+    calls = []
+    original = xmap.io.clean_label
+    monkeypatch.setattr(xmap.io, "clean_label", lambda text: calls.append(text) or original(text))
+    # BE repeats in the to-column and A sits in both; a defect on a repeated
+    # code is reported at its first row.
+    walk = import_crosswalk(read_crosswalk_table("a,b\nB,BE\nL,BE\nA,A\n"), "a", "b")
+    assert [link.pair for link in walk.links] == [("B", "BE"), ("L", "BE"), ("A", "A")]
+    assert sorted(calls) == ["A", "B", "BE", "L"]
+    with pytest.raises(InvalidLabel) as caught:
+        import_crosswalk(read_crosswalk_table('a,b\nB,B"E\nL,B"E\n'), "a", "b")
+    assert str(caught.value) == "invalid category label 'B\"E': contains a double quote character (line 2)"
+    # Cells of a table built by hand are cleaned as they stand.
+    with pytest.raises(InvalidLabel) as caught:
+        import_crosswalk(WideCrosswalkDocument(("a", "b"), (("x", "  "),)), "a", "b")
+    assert str(caught.value) == "invalid category label '  ': empty after trimming whitespace (line 2)"
 
 
 def test_read_series():

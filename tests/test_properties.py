@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import pickle
 from collections import Counter
 from xml.dom import minidom
 
@@ -43,6 +44,7 @@ from xmap.viz import count_crossings
 from helpers import (
     oracle_crossings,
     oracle_first_defect,
+    oracle_read_edge_list,
     oracle_relabel_group_sum,
     oracle_underflowing_links,
 )
@@ -249,6 +251,73 @@ def test_validation_reports_the_defect_the_oracle_finds(data):
         with pytest.raises(CrossmapError) as caught:
             build_crossmap("alpha", "beta", links)
         assert (type(caught.value), str(caught.value)) == expected
+
+
+# Edge-list texts for the reader oracle. A valid map is written with each
+# label cell padded or not (" A", "A ", "A"), so one label repeats under
+# several raw texts. Map-level defects go in before the rows are shuffled: a
+# duplicated pair, or a weight changed so its source's sum is off. Row-local
+# defects go in after: a bad weight text, a label with a banned character or
+# trimming to nothing, a weight out of range, or a wrong field count. A label
+# defect lands on every cell of that label half the time, so a defect on a
+# repeated text must be reported at its first row.
+_BAD_WEIGHT_TEXTS = ["", "x", "1_0", "nan", "inf", "-inf", "1e400", "\uff10.5", "0x1"]
+_OUT_OF_RANGE_TEXTS = ["0", "-0.0", "-0.5", "1.5", "1.0000001"]
+_BAD_LABEL_CHARS = ['"', "\x01", "\x1f", "\r", "\ufffe", "\uffff", "\udc80"]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    crossmap = draw(crossmaps())
+    rows = [[link.source, link.target, repr(link.weight)] for link in crossmap.links]
+    for _ in range(draw(st.integers(0, 1))):
+        rows.append([*draw(st.sampled_from(rows))[:2], draw(st.sampled_from(["1", "0.5"]))])
+    for _ in range(draw(st.integers(0, 1))):
+        draw(st.sampled_from(rows))[2] = draw(st.sampled_from(["0.25", "0.999"]))
+    rows = [list(row) for row in draw(st.permutations(rows))]
+    pad = st.sampled_from(["{} ", " {}", "{}", "{}"])
+    for row in rows:
+        row[0], row[1] = draw(pad).format(row[0]), draw(pad).format(row[1])
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        defect = draw(st.sampled_from(["weight", "range", "label", "fields"]))
+        if defect == "weight":
+            row[2:3] = [draw(st.sampled_from(_BAD_WEIGHT_TEXTS))]
+        elif defect == "range":
+            row[2:3] = [draw(st.sampled_from(_OUT_OF_RANGE_TEXTS))]
+        elif defect == "fields":
+            row[:] = draw(st.sampled_from([row[:2], [*row, "x"]]))
+        else:
+            everywhere = draw(st.booleans())
+            for column in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+                label = row[column].strip()
+                bad = draw(st.sampled_from(
+                    ["", "  ", " \t ", *(label[:1] + char + label[1:] for char in _BAD_LABEL_CHARS)]
+                ))
+                for other in rows if everywhere else [row]:
+                    for index in (0, 1):
+                        if other[index:index + 1] and other[index].strip() == label:
+                            other[index] = bad
+    return "from,to,weight\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_texts())
+def test_read_edge_list_matches_the_row_by_row_oracle(text):
+    expected = oracle_read_edge_list(text)
+    if isinstance(expected, list):
+        built = [Link(*row) for row in expected]
+        links = read_edge_list(text, "alpha", "beta").links
+        assert list(links) == built
+        for link, twin in zip(links, built):
+            back = pickle.loads(pickle.dumps(link))
+            assert hash(link) == hash(twin) == hash(back) and back == twin
+        return
+    error, message, line = expected
+    with pytest.raises(CrossmapError) as caught:
+        read_edge_list(text, "alpha", "beta")
+    assert type(caught.value) is error and caught.value.line == line
+    assert str(caught.value) == (message if line is None else f"{message} (line {line})")
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import pickle
 import random
 import re
 from xml.dom import minidom
@@ -58,6 +60,32 @@ def test_plan_style_classes():
     assert classes == {"BLX": "split", "E.GER": "one-to-one", "W.GER": "one-to-one", "AUS": "one-to-one"}
     classes = {node.label: node.style_class for node in plan.layers[1]}
     assert classes["DEU"] == "aggregate" and classes["BEL"] == "unique"
+
+
+def test_layout_plans_pass_the_checking_constructors_unchanged():
+    # The layouts build plans, nodes and edges past the public constructors:
+    # each must equal, hash and pickle like its twin built through them, and
+    # dataclasses.replace must treat it alike.
+    rng = random.Random(12)
+    plans = []
+    for _ in range(40):
+        crossmap = random_crossmap(rng)
+        plans.extend(layout_bipartite(crossmap, ordering) for ordering in NodeOrdering)
+        plans.append(layout_chain(MultiStepChain(random_composable_pair(rng))))
+    plans.append(layout_chain(MultiStepChain(random_chain(rng, 200))))
+    for plan in plans:
+        checked = LayoutPlan(plan.layers, plan.edges)
+        assert checked == plan and hash(checked) == hash(plan)
+        assert pickle.loads(pickle.dumps(plan)) == plan
+        nodes = [node for column in plan.layers for node in column]
+        for value in (*nodes, *plan.edges):
+            twin = type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value)))
+            assert twin == value and hash(twin) == hash(value)
+            assert pickle.dumps(twin) == pickle.dumps(value)
+            assert dataclasses.replace(value) == value
+        if nodes:
+            node = nodes[0]
+            assert dataclasses.replace(node, y=-1) == PlacedNode(node.label, node.x, -1, node.style_class)
 
 
 def test_plan_validates_permutations():
