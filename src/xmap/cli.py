@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import errno
+import gc
 import logging
 import os
 import stat
@@ -299,4 +300,7 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
 
 
 def main() -> None:
+    # One command, then exit: the links and maps it builds stay live to the end
+    # and hold no cycles, so the cyclic collector's passes would free nothing.
+    gc.disable()
     sys.exit(run(sys.argv[1:]))

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import groupby, pairwise
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, NoReturn, Union
 
@@ -178,13 +178,25 @@ class Crossmap:
             raise EmptyCrossmap()
         ordered = tuple(sorted(self.links, key=_pair_of))
         object.__setattr__(self, "pair_order", ordered)
-        for previous, pair in pairwise(map(_pair_of, ordered)):
-            if previous == pair:
-                raise DuplicateLink(*pair)
-        for source, group in groupby(ordered, _source_of):  # sources ascending
-            total = _left_to_right_sum(map(_weight_of, group))
-            if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-                raise WeightSumViolation(source, total)
+        # One walk in pair order checks both rules: a duplicate sits next to
+        # its twin, and each source's weights are added left to right, as
+        # _left_to_right_sum adds them. A duplicate anywhere is reported before
+        # any bad sum, so the first bad sum is held until the walk ends.
+        violation: tuple[str, float] | None = None
+        source, target, total = None, None, 0.0
+        for link in ordered:
+            if link.source != source:
+                if source is not None and abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+                    violation = violation or (source, total)
+                source, total = link.source, 0.0
+            elif link.target == target:
+                raise DuplicateLink(source, target)
+            target = link.target
+            total += link.weight
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            violation = violation or (source, total)
+        if violation:
+            raise WeightSumViolation(*violation)
 
     # -- derived structure, each computed once on first use (the dataclass is
     # frozen, so none of it goes stale); each per-category table refuses an

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-from .core import Crossmap, CrossmapSummary, Link, build_crossmap, clean_label
+from .core import Crossmap, CrossmapSummary, Link, _weight_of, build_crossmap, clean_label
 from .errors import (
     CrossmapError,
     DuplicateKey,
@@ -161,9 +161,10 @@ def _document(header: str, rows: Iterable[str]) -> str:
 
 def write_edge_list(crossmap: Crossmap) -> str:
     """Emit an edge-list document, rows in stored link order."""
+    links = crossmap.links
+    texts = {weight: format_weight(weight) for weight in set(map(_weight_of, links))}
     return _document(
-        EDGE_LIST_HEADER,
-        (f"{link.source},{link.target},{format_weight(link.weight)}" for link in crossmap.links),
+        EDGE_LIST_HEADER, (f"{link.source},{link.target},{texts[link.weight]}" for link in links)
     )
 
 
@@ -213,7 +214,7 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     seen_sources: set[str] = set()
     for number, row in enumerate(doc.rows, start=2):
         for idx, name in ((from_idx, from_col), (to_idx, to_col)):
-            if not row[idx]:
+            if not row[idx].strip():
                 raise EmptyCell(number, name)
         try:
             source, target = labels[row[from_idx]], labels[row[to_idx]]

@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -26,6 +25,7 @@ from .core import (
     Link,
     RelationKind,
     _left_to_right_sum,
+    _source_of,
     _weight_of,
     build_crossmap,
     classify_source,
@@ -214,20 +214,21 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     (source, target).
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
+    seconds = b._links_by_source
     links: list[Link] = []
-    for source, firsts in groupby(a.pair_order, attrgetter("source")):  # sources ascending
+    for source, firsts in groupby(a.pair_order, _source_of):  # sources ascending
         weights: dict[str, float] = {}
         for first in firsts:
-            for second in b.links_from(first.target):
+            share = first.weight
+            for second in seconds[first.target]:
                 target = second.target
-                weights[target] = weights.get(target, 0.0) + first.weight * second.weight
-        # The exact sum never exceeds 1, but float accumulation can overshoot by
-        # an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the result stays a legal weight.
-        links.extend(
-            Link._from_clean(source, target, min(w, 1.0))
-            for target, w in sorted(weights.items())
-            if w > 0.0
-        )
+                weights[target] = weights.get(target, 0.0) + share * second.weight
+        for target in sorted(weights):
+            w = weights[target]
+            if w > 0.0:
+                # The exact sum never exceeds 1, but float accumulation can overshoot
+                # by an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the weight stays legal.
+                links.append(Link._from_clean(source, target, min(w, 1.0)))
     return build_crossmap(a.source_taxonomy, b.target_taxonomy, links)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import random
@@ -337,6 +338,40 @@ def test_byte_identical_across_hash_seeds(table2, values):
         ["transform", "--map", table2, "--data", values],
     ):
         assert capture("0", argv) == capture("1", argv) == capture("42", argv)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled, table2, tmp_path):
+    merge = tmp_path / "merge.csv"
+    merge.write_text(MERGE_TEXT)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in (["validate", table2], ["compose", table2, str(merge)], ["nope"]):
+            invoke(*argv)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_main_turns_the_collector_off_and_prints_what_run_prints(table2, tmp_path):
+    # main() hands run() the argv with the cyclic collector off...
+    probe = (
+        "import gc, sys; from xmap import cli; "
+        "cli.run = lambda argv: print(gc.isenabled(), argv) or 0; "
+        "print(gc.isenabled()); sys.argv = ['xmap', 'validate', 'x.csv']; cli.main()"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\nFalse ['validate', 'x.csv']\n"
+    # ...and the command's bytes and exit code are those run() gives in process.
+    merge = tmp_path / "merge.csv"
+    merge.write_text(MERGE_TEXT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmap", "compose", table2, str(merge)], capture_output=True
+    )
+    code, out, err = invoke("compose", table2, str(merge))
+    assert out == "from,to,weight\nAUS,DACH,1\nBLX,BENELUX,1\nE.GER,DACH,1\nW.GER,DACH,1\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
 
 
 def test_validate_accepts_utf8_bom(tmp_path):

@@ -22,6 +22,7 @@ from xmap import (
     classify_source,
     classify_target,
     clean_label,
+    read_edge_list,
     summarize,
 )
 from helpers import COUNTRY_LINKS, country_fixture, country_series
@@ -75,6 +76,38 @@ def test_weight_sum_violation_names_source():
         build_crossmap("x", "y", [("a", "b", 0.5), ("a", "c", 0.6), ("z", "b", 1.0)])
     assert caught.value.source == "a"
     assert "'a'" in str(caught.value)
+
+
+def test_duplicate_on_a_later_source_wins_over_an_earlier_bad_sum():
+    # Pair order meets a's bad sum first; the duplicate on z is still reported.
+    links = [("a", "x", 0.5), ("z", "x", 0.5), ("z", "x", 0.5), ("b", "y", 1.0)]
+    with pytest.raises(DuplicateLink) as caught:
+        build_crossmap("p", "q", links)
+    assert (caught.value.source, caught.value.target) == ("z", "x")
+    assert str(caught.value) == "duplicate link 'z' -> 'x'"
+    text = "from,to,weight\n" + "".join(f"{s},{t},{w!r}\n" for s, t, w in links)
+    with pytest.raises(DuplicateLink) as caught:
+        read_edge_list(text, "p", "q")
+    assert str(caught.value) == "duplicate link 'z' -> 'x' (line 4)"
+
+
+def test_smallest_of_two_bad_sums_is_named_with_its_left_to_right_total():
+    # z comes first in the input and a first in pair order; a's weights are
+    # added in target order, 0.0 + 0.2 + 0.123456789 + 0.3.
+    links = [
+        ("z", "x", 0.4), ("a", "z", 0.3), ("a", "x", 0.2), ("a", "y", 0.123456789), ("m", "y", 1.0),
+    ]
+    expected = ((0.0 + 0.2) + 0.123456789) + 0.3
+    with pytest.raises(WeightSumViolation) as caught:
+        build_crossmap("p", "q", links)
+    assert caught.value.source == "a"
+    assert caught.value.total.hex() == expected.hex()
+    assert str(caught.value) == "outgoing weights for source 'a' sum to 0.623456789, expected 1"
+    text = "from,to,weight\n" + "".join(f"{s},{t},{w!r}\n" for s, t, w in links)
+    with pytest.raises(WeightSumViolation) as caught:
+        read_edge_list(text, "p", "q")
+    # The line of a's last row in the file.
+    assert str(caught.value) == "outgoing weights for source 'a' sum to 0.623456789, expected 1 (line 5)"
 
 
 def test_weight_sum_tolerance_boundary():

@@ -237,10 +237,13 @@ def test_import_crosswalk_cleans_each_code_text_once(monkeypatch):
     with pytest.raises(InvalidLabel) as caught:
         import_crosswalk(read_crosswalk_table('a,b\nB,B"E\nL,B"E\n'), "a", "b")
     assert str(caught.value) == "invalid category label 'B\"E': contains a double quote character (line 2)"
-    # Cells of a table built by hand are cleaned as they stand.
-    with pytest.raises(InvalidLabel) as caught:
+    # A whitespace-only cell of a table built by hand is an empty cell, as the
+    # same table read from a file is.
+    with pytest.raises(EmptyCell) as by_hand:
         import_crosswalk(WideCrosswalkDocument(("a", "b"), (("x", "  "),)), "a", "b")
-    assert str(caught.value) == "invalid category label '  ': empty after trimming whitespace (line 2)"
+    with pytest.raises(EmptyCell) as from_file:
+        import_crosswalk(read_crosswalk_table("a,b\nx,  \n"), "a", "b")
+    assert str(by_hand.value) == str(from_file.value) == "empty cell in column 'b' (line 2)"
 
 
 def test_read_series():

@@ -40,6 +40,7 @@ from xmap import (
     write_summary_json,
 )
 from xmap.cli import run
+from xmap.io import format_weight
 from xmap.viz import count_crossings
 from helpers import (
     oracle_crossings,
@@ -176,6 +177,37 @@ def test_edge_list_round_trip(crossmap):
     assert [l.pair for l in back.links] == [l.pair for l in crossmap.links]
     for mine, theirs in zip(crossmap.links, back.links):
         assert abs(mine.weight - theirs.weight) <= 1e-9
+
+
+@st.composite
+def repeated_weight_crossmaps(draw) -> Crossmap:
+    """Many sources over a few shares: unit links, and two-way splits whose
+    smaller share is a plain decimal or below 5e-10, which format_weight
+    prints in repr form. The first two sources take weight 1 and a tiny share."""
+    tiny = draw(st.lists(
+        st.floats(min_value=0.0, max_value=4.9e-10, exclude_min=True), min_size=1, max_size=3
+    ))
+    plain = draw(st.lists(st.integers(1, 9).map(lambda k: k / 10), max_size=3))
+    targets = draw(st.lists(label_text, min_size=2, max_size=4, unique=True))
+    shares = [1.0, tiny[0], *draw(st.lists(st.sampled_from([1.0, *tiny, *plain]), max_size=58))]
+    links: list[tuple[str, str, float]] = []
+    for index, share in enumerate(shares):
+        head, tail = draw(st.permutations(targets))[:2]
+        links.append((f"s{index}", head, share))
+        if share < 1.0:
+            links.append((f"s{index}", tail, 1.0 - share))
+    return build_crossmap("alpha", "beta", draw(st.permutations(links)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_weight_crossmaps())
+def test_edge_list_rows_are_each_links_own_text(crossmap):
+    # Oracle: each row formats its own link's weight.
+    assert write_edge_list(crossmap).split("\n") == [
+        "from,to,weight",
+        *(f"{l.source},{l.target},{format_weight(l.weight)}" for l in crossmap.links),
+        "",
+    ]
 
 
 @settings(max_examples=100, deadline=None)
