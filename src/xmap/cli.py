@@ -15,6 +15,11 @@ error like a failed --out.
 
 Exit codes: 0 success, 1 domain or validation error, 2 unreadable or
 malformed input or an output that cannot be written, 3 usage error.
+
+A process pays only for its command: main() runs it with the cyclic garbage
+collector off and freezes every object before exit, so the interpreter's
+exit-time collections scan none of them, and logging, json and tempfile are
+imported only by transform --allow-unmatched, summarize --json and --out.
 """
 
 from __future__ import annotations
@@ -23,11 +28,9 @@ import argparse
 import codecs
 import errno
 import gc
-import logging
 import os
 import stat
 import sys
-import tempfile
 from pathlib import PurePath
 from typing import NoReturn, TextIO
 
@@ -232,6 +235,8 @@ def _replace_file(path: str, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
+        import tempfile  # loaded only by --out
+
         fd, temp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -276,10 +281,14 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
     except SystemExit as stop:  # argparse exits itself only for --help
         return EXIT_OK if (stop.code or 0) == 0 else EXIT_USAGE
 
-    log_handler = logging.StreamHandler(err_stream)
-    log_handler.setFormatter(logging.Formatter("warning: %(message)s"))
-    package_log = logging.getLogger(__package__)
-    package_log.addHandler(log_handler)
+    package_log = None
+    if getattr(args, "allow_unmatched", False):  # the one command that can log a warning
+        import logging
+
+        log_handler = logging.StreamHandler(err_stream)
+        log_handler.setFormatter(logging.Formatter("warning: %(message)s"))
+        package_log = logging.getLogger(__package__)
+        package_log.addHandler(log_handler)
     try:
         text = args.handler(args)
         if args.out:
@@ -295,7 +304,8 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
         print(f"error: {err}", file=err_stream)
         return EXIT_DOMAIN
     finally:
-        package_log.removeHandler(log_handler)
+        if package_log is not None:
+            package_log.removeHandler(log_handler)
     return EXIT_OK
 
 
@@ -303,4 +313,8 @@ def main() -> None:
     # One command, then exit: the links and maps it builds stay live to the end
     # and hold no cycles, so the cyclic collector's passes would free nothing.
     gc.disable()
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The interpreter still collects at exit with the collector off; frozen
+    # objects, every one left from import and the command, are not scanned.
+    gc.freeze()
+    sys.exit(code)

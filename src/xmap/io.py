@@ -9,7 +9,6 @@ All parse errors carry 1-based line numbers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
@@ -269,5 +268,7 @@ def write_panel(panel: HarmonisedPanel) -> str:
 
 def write_summary_json(summary: CrossmapSummary) -> str:
     """Serialise a summary as one compact JSON object with fixed key order."""
+    import json  # loaded only by summarize --json
+
     payload = {field.name: getattr(summary, field.name) for field in fields(summary)}
     return json.dumps(payload, separators=(",", ":"))

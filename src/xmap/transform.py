@@ -12,7 +12,6 @@ whatever the input link order, so repeated runs produce byte-identical results.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -44,8 +43,6 @@ from .errors import (
     TaxonomyMismatch,
     UncoveredIntermediate,
 )
-
-log = logging.getLogger(__name__)
 
 _FLOOR = sys.float_info.min  # the smallest normal float: a product below it has lost precision
 
@@ -174,7 +171,9 @@ def apply(
         if not allow_unmatched:
             raise MissingSourceMapping(unmatched[0], extra=len(unmatched) - 1)
         excluded = _left_to_right_sum(abs(series.entries[k]) for k in unmatched)
-        log.warning(
+        import logging  # loaded only where it is used: most processes never warn
+
+        logging.getLogger(__name__).warning(
             "excluded %d unmatched categories (absolute mass %.6g): %s",
             len(unmatched),
             excluded,

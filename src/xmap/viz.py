@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from html import escape
-from functools import cache, partial
+from functools import cache
 from itertools import pairwise
 from operator import attrgetter
 from typing import Iterator, Sequence
@@ -56,6 +55,8 @@ class NodeOrdering(Enum):
 
 @dataclass(frozen=True)
 class PlacedNode:
+    """One node of a layout: its label at grid column ``x``, row ``y``."""
+
     label: str
     x: int  # column index
     y: int  # row index within the column
@@ -73,6 +74,9 @@ class PlacedNode:
 
 @dataclass(frozen=True)
 class PlannedEdge:
+    """One edge of a layout between placed nodes of adjacent columns, with
+    its line style and the weight text drawn at its midpoint."""
+
     tail: tuple[int, int]  # (column, row) of the source node
     head: tuple[int, int]
     weight: float
@@ -343,6 +347,11 @@ def _coord(value: float) -> str:
     return text or "0"
 
 
+def _escape(text: str) -> str:
+    """SVG element text: ``html.escape(text, quote=False)``, without the import."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def target_opacity(in_degree: int) -> float:
     """Linear opacity ramp with a visible floor of 0.35, which in-degrees 0
     (a chain's onward-only sources) and 1 share, clamped at fully opaque."""
@@ -385,7 +394,7 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
         cache(lambda rows: _coord((2 * _PAD_Y + rows * _NODE_SPACING) / 2 - 6.0)),
         cache(lambda rows: _coord((2 * _PAD_Y + rows * _NODE_SPACING) / 2 + 14.0)),
     )
-    weight_text = cache(partial(escape, quote=False))
+    weight_text = cache(_escape)
 
     # Edges go first: their pass counts the in-degrees that shade the nodes.
     in_degree = [[0] * len(column) for column in layers]
@@ -437,13 +446,13 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
                 shading = shade(in_degree[index][row])
             title = ""
             if len(label) > _MAX_LABEL_CHARS:
-                title = f"<title>{escape(label, quote=False)}</title>"
+                title = f"<title>{_escape(label)}</title>"
                 label = label[: _MAX_LABEL_CHARS - 1] + "…"
             parts.append(
                 f'<circle cx="{node_x[index]}" cy="{node_y[row]}" r="{radius}" fill="{fill}"{shading}/>'
             )
             parts.append(
-                f'<text x="{label_x}" y="{label_y[row]}"{attrs}>{title}{escape(label, quote=False)}</text>'
+                f'<text x="{label_x}" y="{label_y[row]}"{attrs}>{title}{_escape(label)}</text>'
             )
     parts.extend(lines)
     parts.extend(weight_labels)

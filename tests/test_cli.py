@@ -345,24 +345,29 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, table2, tmp_path):
     merge = tmp_path / "merge.csv"
     merge.write_text(MERGE_TEXT)
     was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         for argv in (["validate", table2], ["compose", table2, str(merge)], ["nope"]):
             invoke(*argv)
             assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was_enabled else gc.disable)()
 
 
 def test_main_turns_the_collector_off_and_prints_what_run_prints(table2, tmp_path):
-    # main() hands run() the argv with the cyclic collector off...
+    # main() hands run() the argv with the cyclic collector off and nothing
+    # frozen, then freezes the heap and exits with run()'s code...
     probe = (
         "import gc, sys; from xmap import cli; "
-        "cli.run = lambda argv: print(gc.isenabled(), argv) or 0; "
-        "print(gc.isenabled()); sys.argv = ['xmap', 'validate', 'x.csv']; cli.main()"
+        "cli.run = lambda argv: print(gc.isenabled(), gc.get_freeze_count(), argv) or 4; "
+        "print(gc.isenabled()); sys.argv = ['xmap', 'validate', 'x.csv']\n"
+        "try: cli.main()\n"
+        "except SystemExit as stop: print(stop.code, gc.isenabled(), gc.get_freeze_count() > 0)"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert proc.stdout == "True\nFalse ['validate', 'x.csv']\n"
+    assert proc.stdout == "True\nFalse 0 ['validate', 'x.csv']\n4 False True\n"
     # ...and the command's bytes and exit code are those run() gives in process.
     merge = tmp_path / "merge.csv"
     merge.write_text(MERGE_TEXT)
@@ -372,6 +377,24 @@ def test_main_turns_the_collector_off_and_prints_what_run_prints(table2, tmp_pat
     code, out, err = invoke("compose", table2, str(merge))
     assert out == "from,to,weight\nAUS,DACH,1\nBLX,BENELUX,1\nE.GER,DACH,1\nW.GER,DACH,1\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+def test_main_warns_about_unmatched_keys_as_run_does(table2, tmp_path):
+    # transform --allow-unmatched is the one command that loads logging: the
+    # warning line and the --out bytes match run()'s in process.
+    data = tmp_path / "data.csv"
+    data.write_text("key,value\nBLX,10\nATLANTIS,-1.5\nAUS,3\n")
+    out = tmp_path / "out.csv"
+    argv = ["transform", "--allow-unmatched", "--map", table2, "--data", str(data), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "xmap", *argv], capture_output=True)
+    written = out.read_bytes()
+    out.unlink()
+    code, stdout, stderr = invoke(*argv)
+    assert (code, stdout, out.read_bytes()) == (0, "", b"key,value\nAUS,3\nBEL,5\nDEU,0\nLUX,5\n")
+    assert stderr == "warning: excluded 1 unmatched categories (absolute mass 1.5): ATLANTIS\n"
+    assert (proc.returncode, proc.stdout, proc.stderr, written) == (
+        code, b"", stderr.encode(), out.read_bytes()
+    )
 
 
 def test_validate_accepts_utf8_bom(tmp_path):
@@ -398,6 +421,25 @@ def test_cli_import_loads_no_network_or_sax_modules():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_cli_loads_logging_json_html_and_tempfile_only_where_used(table2):
+    # Compared with the modules the interpreter's start-up loaded before it, as
+    # a site hook may preload some of them: importing the CLI and running a
+    # command that neither warns, writes JSON nor writes --out loads none of
+    # the four, while the CLI still imports the drawing module.
+    deferred = ["logging", "json", "html", "tempfile"]
+    probe = (
+        "import io, sys; before = set(sys.modules); import xmap.cli; "
+        "new = lambda: sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
+        f"& set({deferred!r})); "
+        "print(new(), 'xmap.viz' in sys.modules); "
+        f"xmap.cli.run(['summarize', {table2!r}], stdout=io.StringIO()); print(new())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == ["[] True", "[]"]
 
 
 @pytest.mark.parametrize("command", ["validate", "transform", "import-crosswalk"])

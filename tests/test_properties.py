@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import html
 import io
 import json
 import math
@@ -41,7 +42,7 @@ from xmap import (
 )
 from xmap.cli import run
 from xmap.io import format_weight
-from xmap.viz import count_crossings
+from xmap.viz import _escape, count_crossings
 from helpers import (
     oracle_crossings,
     oracle_first_defect,
@@ -508,6 +509,13 @@ def test_svg_of_any_legal_labels_parses(crossmap):
     for ordering in NodeOrdering:
         svg = render_svg(layout_bipartite(crossmap, ordering))
         assert minidom.parseString(svg).documentElement.tagName == "svg"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"'"), st.characters())))
+@example("&amp; <a href=\"x\">'b'</a> &lt;")
+def test_svg_text_escape_is_html_escape_without_quotes(text):
+    assert _escape(text) == html.escape(text, quote=False)
 
 
 # Plan coordinates of every kind a caller might pass: in and out of range,
