@@ -23,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, NoReturn, Union
+from typing import Iterable, Mapping, NoReturn, Union
 
 from .errors import (
     DuplicateLink,
@@ -66,6 +66,20 @@ def clean_label(text: str) -> str:
         kind = "control" if banned.group() < " " else "non-XML"
         raise InvalidLabel(label, f"contains {kind} character {banned.group()!r}")
     return label
+
+
+def clean_labels(texts: Iterable[str]) -> dict[str, str] | None:
+    """Each of ``texts`` mapped to the label :func:`clean_label` makes of it,
+    or None when ``clean_label`` refuses any of them.
+
+    One emptiness test and one pattern scan over the tab-joined labels cover
+    every text: tab is allowed in a label, so joining on it adds no match.
+    """
+    texts = list(texts)
+    labels = list(map(str.strip, texts))
+    if not all(labels) or _BANNED_PATTERN.search("\t".join(labels)):
+        return None
+    return dict(zip(texts, labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +126,6 @@ def _fill_link(link: Link, source: str, target: str, weight: float) -> None:
     _set_weight(link, weight)
 
 
-_pair_of = attrgetter("source", "target")
-_source_of = attrgetter("source")
 _target_of = attrgetter("target")
 _weight_of = attrgetter("weight")
 
@@ -134,7 +146,7 @@ class _CategoryTable(dict):
 
     __slots__ = ("side",)
 
-    def __init__(self, side: str, table: dict) -> None:
+    def __init__(self, side: str, table: Mapping | Iterable[tuple]) -> None:
         super().__init__(table)
         self.side = side
 
@@ -170,41 +182,63 @@ class Crossmap:
     source_taxonomy: str
     target_taxonomy: str
     links: tuple[Link, ...]
-    pair_order: tuple[Link, ...] = field(init=False, repr=False, compare=False)
+    # Each source's links in pair order, sources in first-appearance order.
+    _links_by_source: _CategoryTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(self.links))
-        if not self.links:
+        links = tuple(self.links)
+        object.__setattr__(self, "links", links)
+        if not links:
             raise EmptyCrossmap()
-        ordered = tuple(sorted(self.links, key=_pair_of))
-        object.__setattr__(self, "pair_order", ordered)
-        # One walk in pair order checks both rules: a duplicate sits next to
-        # its twin, and each source's weights are added left to right, as
-        # _left_to_right_sum adds them. A duplicate anywhere is reported before
-        # any bad sum, so the first bad sum is held until the walk ends.
-        violation: tuple[str, float] | None = None
-        source, target, total = None, None, 0.0
-        for link in ordered:
-            if link.source != source:
-                if source is not None and abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-                    violation = violation or (source, total)
-                source, total = link.source, 0.0
-            elif link.target == target:
-                raise DuplicateLink(source, target)
-            target = link.target
-            total += link.weight
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            violation = violation or (source, total)
-        if violation:
-            raise WeightSumViolation(*violation)
+        # One pass groups the links by source, in first-appearance order.
+        groups = _CategoryTable("source", ())
+        for link in links:
+            group = groups.get(link.source)
+            if group is None:
+                groups[link.source] = [link]
+            else:
+                group.append(link)
+        # Each split source's links are sorted by target, so a duplicate sits
+        # next to its twin and the weights are added left to right from 0.0
+        # in pair order, as _left_to_right_sum adds them; a lone link's total
+        # is its weight. The smallest duplicated pair is reported before the
+        # smallest violating source.
+        duplicates: list[tuple[str, str]] = []
+        violations: list[tuple[str, float]] = []
+        for source, group in groups.items():
+            if len(group) == 1:
+                total = group[0].weight
+            else:
+                group.sort(key=_target_of)
+                total, target = 0.0, None
+                for link in group:
+                    if link.target == target:
+                        duplicates.append((source, target))
+                    target = link.target
+                    total += link.weight
+            if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+                violations.append((source, total))
+            groups[source] = tuple(group)
+        if duplicates:
+            raise DuplicateLink(*min(duplicates))
+        if violations:
+            raise WeightSumViolation(*min(violations))
+        object.__setattr__(self, "_links_by_source", groups)
 
     # -- derived structure, each computed once on first use (the dataclass is
     # frozen, so none of it goes stale); each per-category table refuses an
     # unknown label by name
 
     @cached_property
+    def pair_order(self) -> tuple[Link, ...]:
+        """The links sorted by (source, target)."""
+        groups = self._links_by_source
+        return tuple(chain.from_iterable(map(groups.__getitem__, sorted(groups))))
+
+    @cached_property
     def _out_degrees(self) -> _CategoryTable:
-        return _CategoryTable("source", Counter(map(_source_of, self.links)))  # first-appearance order
+        groups = self._links_by_source  # first-appearance order
+        return _CategoryTable("source", zip(groups, map(len, groups.values())))
 
     @cached_property
     def _in_degrees(self) -> _CategoryTable:
@@ -225,12 +259,6 @@ class Crossmap:
         })
 
     @cached_property
-    def _links_by_source(self) -> _CategoryTable:
-        # Each group in pair order.
-        groups = {source: tuple(group) for source, group in groupby(self.pair_order, _source_of)}
-        return _CategoryTable("source", groups)
-
-    @cached_property
     def _links_by_target(self) -> _CategoryTable:
         # Each group in pair order.
         grouped: dict[str, list[Link]] = {target: [] for target in self._in_degrees}
@@ -241,7 +269,7 @@ class Crossmap:
     @cached_property
     def source_categories(self) -> tuple[str, ...]:
         """Source categories in order of first appearance."""
-        return tuple(self._out_degrees)
+        return tuple(self._links_by_source)
 
     @cached_property
     def target_categories(self) -> tuple[str, ...]:

@@ -10,10 +10,23 @@ All parse errors carry 1-based line numbers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, NoReturn, Sequence
 
-from .core import Crossmap, CrossmapSummary, Link, _weight_of, build_crossmap, clean_label
+from .core import (
+    Crossmap,
+    CrossmapSummary,
+    Link,
+    _set_source,
+    _set_target,
+    _set_weight,
+    _weight_of,
+    build_crossmap,
+    clean_label,
+    clean_labels,
+)
 from .errors import (
     CrossmapError,
     DuplicateKey,
@@ -58,39 +71,56 @@ def _lines(text: str) -> list[str]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return [line.rstrip("\r") for line in lines]
+    if "\r" in text:
+        return [line.rstrip("\r") for line in lines]
+    return lines
 
 
-def _rows(lines: list[str], width: int, what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields as written) for each line after the header,
-    refusing a row without ``width`` fields as "expected {width} {what}"."""
-    for number, line in enumerate(lines[1:], start=2):
+def _rows(rows: list[str], width: int, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields as written) for each of the lines after a
+    header, refusing a row without ``width`` fields as "expected {width} {what}"."""
+    for number, line in enumerate(rows, start=2):
         cells = line.split(",")
         if len(cells) != width:
             raise ParseError(number, f"expected {width} {what}, found {len(cells)}")
         yield number, cells
 
 
-def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Check the header line, then return an iterator of (line number,
-    fields as written) for each row, every row carrying as many fields as the
-    header names."""
+def _body(text: str, header: str) -> list[str]:
+    """The lines after the header line, which must read ``header``."""
     lines = _lines(text)
     if not lines or lines[0] != header:
         found = lines[0] if lines else ""
         raise ParseError(1, f"expected header {header!r}, found {found!r}")
-    return _rows(lines, header.count(",") + 1, f"fields ({header})")
+    del lines[0]
+    return lines
 
 
-def _number(text: str, line: int, what: str) -> float:
+def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Check the header line, then return an iterator of (line number,
+    fields as written) for each row, every row carrying as many fields as the
+    header names."""
+    return _rows(_body(text, header), header.count(",") + 1, f"fields ({header})")
+
+
+def _float(text: str) -> float | None:
     """``float(text)`` for number text in the form writers emit: ASCII without
-    the digit-group underscores and non-ASCII digits that float() also takes."""
+    the digit-group underscores and non-ASCII digits that float() also takes.
+    None for any other text."""
     if text.isascii() and "_" not in text:
         try:
             return float(text)
         except ValueError:
             pass
-    raise ParseError(line, f"invalid {what} {text!r}")
+    return None
+
+
+def _number(text: str, line: int, what: str) -> float:
+    """``_float(text)``, or a ParseError naming the text."""
+    value = _float(text)
+    if value is None:
+        raise ParseError(line, f"invalid {what} {text!r}")
+    return value
 
 
 class _Labels(dict):
@@ -126,22 +156,7 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     Each distinct label text and weight text is checked once: a defect on a
     repeated text is reported at its first row.
     """
-    labels = _Labels(trim=True)
-    weights: dict[str, float] = {}  # weight text -> finite float
-    links: list[Link] = []
-    for number, (raw_from, raw_to, raw_weight) in _records(text, EDGE_LIST_HEADER):
-        weight = weights.get(raw_weight)
-        if weight is None:
-            stripped = raw_weight.strip()
-            weight = _number(stripped, number, "weight")
-            if not math.isfinite(weight):
-                raise ParseError(number, f"invalid weight {stripped!r}")
-            weights[raw_weight] = weight
-        try:
-            links.append(Link._from_clean(labels[raw_from], labels[raw_to], weight))
-        except CrossmapError as err:
-            raise err.at_line(number)
-
+    links = _edge_links(_body(text, EDGE_LIST_HEADER))
     # Every row parsed, so link i sits on line i + 2.
     try:
         return Crossmap(source_taxonomy, target_taxonomy, tuple(links))
@@ -153,9 +168,73 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
         raise err.at_line(rows[-1] + 2)
 
 
+def _edge_links(rows: list[str]) -> list[Link]:
+    """The links of an edge list's rows, checked by columns.
+
+    Every row must hold exactly two commas; the rows are then split once into
+    three columns, each distinct weight text and label text is checked once,
+    and the links are built column by column, each column freed once used.
+    Where any check fails, :func:`_raise_first_row_defect` names the defect.
+    """
+    count = len(rows)
+    if not count:
+        return []
+    if list(map(str.count, rows, repeat(","))).count(2) != count:
+        _raise_first_row_defect(_rows(rows, 3, f"fields ({EDGE_LIST_HEADER})"))
+    body = ",".join(rows)
+    del rows
+    cells = body.split(",")
+    del body
+    sources, targets, weight_texts = cells[0::3], cells[1::3], cells[2::3]
+    del cells
+    weights = _edge_weights(set(weight_texts))
+    labels = None if weights is None else clean_labels({*sources, *targets})
+    if labels is None:
+        _raise_first_row_defect(enumerate(zip(sources, targets, weight_texts), start=2))
+    links = list(map(object.__new__, repeat(Link, count)))
+    deque(map(_set_source, links, map(labels.__getitem__, sources)), maxlen=0)
+    del sources
+    deque(map(_set_target, links, map(labels.__getitem__, targets)), maxlen=0)
+    del targets, labels
+    deque(map(_set_weight, links, map(weights.__getitem__, weight_texts)), maxlen=0)
+    return links
+
+
+def _edge_weights(texts: Iterable[str]) -> dict[str, float] | None:
+    """Each weight cell text mapped to its weight, or None when any text is
+    not a number in (0, 1] as :func:`_float` reads it once trimmed."""
+    weights: dict[str, float] = {}
+    for text in texts:
+        weight = _float(text.strip())
+        if weight is None or not 0.0 < weight <= 1.0:  # NaN fails the range too
+            return None
+        weights[text] = weight
+    return weights
+
+
+def _raise_first_row_defect(rows: Iterable[tuple[int, Sequence[str]]]) -> NoReturn:
+    """Check (line number, fields as written) edge-list rows one by one, in
+    line order, and raise the first row-local defect with its line."""
+    labels = _Labels(trim=True)
+    weights: dict[str, float] = {}  # weight text -> finite float
+    for number, (raw_from, raw_to, raw_weight) in rows:
+        weight = weights.get(raw_weight)
+        if weight is None:
+            stripped = raw_weight.strip()
+            weight = _number(stripped, number, "weight")
+            if not math.isfinite(weight):
+                raise ParseError(number, f"invalid weight {stripped!r}")
+            weights[raw_weight] = weight
+        try:
+            Link._from_clean(labels[raw_from], labels[raw_to], weight)
+        except CrossmapError as err:
+            raise err.at_line(number)
+    raise AssertionError("the column checks refused rows that every row check passes")
+
+
 def _document(header: str, rows: Iterable[str]) -> str:
     """The header line, then one line per row, each ending in "\\n"."""
-    return "\n".join([header, *rows]) + "\n"
+    return "\n".join([header, *rows, ""])
 
 
 def write_edge_list(crossmap: Crossmap) -> str:
@@ -189,7 +268,7 @@ def read_crosswalk_table(text: str) -> WideCrosswalkDocument:
     if len(set(columns)) != len(columns):
         raise ParseError(1, "duplicate column name in header")
     rows = tuple(
-        tuple(cell.strip() for cell in cells) for _, cells in _rows(lines, len(columns), "cells")
+        tuple(cell.strip() for cell in cells) for _, cells in _rows(lines[1:], len(columns), "cells")
     )
     return WideCrosswalkDocument(columns, rows)
 

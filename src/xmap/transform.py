@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -24,9 +23,7 @@ from .core import (
     Link,
     RelationKind,
     _left_to_right_sum,
-    _source_of,
     _weight_of,
-    build_crossmap,
     classify_source,
     classify_target,
     clean_label,
@@ -213,11 +210,11 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     (source, target).
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
-    seconds = b._links_by_source
+    firsts, seconds = a._links_by_source, b._links_by_source
     links: list[Link] = []
-    for source, firsts in groupby(a.pair_order, _source_of):  # sources ascending
+    for source in sorted(firsts):
         weights: dict[str, float] = {}
-        for first in firsts:
+        for first in firsts[source]:
             share = first.weight
             for second in seconds[first.target]:
                 target = second.target
@@ -228,7 +225,7 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
                 # The exact sum never exceeds 1, but float accumulation can overshoot
                 # by an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the weight stays legal.
                 links.append(Link._from_clean(source, target, min(w, 1.0)))
-    return build_crossmap(a.source_taxonomy, b.target_taxonomy, links)
+    return Crossmap(a.source_taxonomy, b.target_taxonomy, tuple(links))
 
 
 def invert(crossmap: Crossmap) -> Crossmap:

@@ -457,9 +457,8 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     parts.extend(lines)
     parts.extend(weight_labels)
 
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</g>", "</svg>", ""]
+    return "\n".join(parts)
 
 
 def _dot_quote(text: str) -> str:
@@ -476,15 +475,20 @@ def render_dot(crossmap: Crossmap) -> str:
     sorted by (source, target).
     """
     lines = ["digraph crossmap {", "  rankdir=LR;"]
+    ids = []
     for prefix, labels in (("from", crossmap.source_categories), ("to", crossmap.target_categories)):
-        nodes = [f"    {_dot_quote(f'{prefix}/{label}')} [label={_dot_quote(label)}];" for label in labels]
+        quoted = {label: _dot_quote(f"{prefix}/{label}") for label in labels}
+        nodes = [f"    {node} [label={_dot_quote(label)}];" for label, node in quoted.items()]
         lines += ["  {", "    rank=same;", *nodes, "  }"]
+        ids.append(quoted)
+    tails, heads = ids
     styles, texts = _edge_look(crossmap)
+    weight_labels = {weight: _dot_quote(text) for weight, text in texts.items()}
     for link in crossmap.pair_order:
         dashed = ", style=dashed" if styles[link.source] == DASHED else ""
         lines.append(
-            f"  {_dot_quote(f'from/{link.source}')} -> {_dot_quote(f'to/{link.target}')} "
-            f"[label={_dot_quote(texts[link.weight])}{dashed}];"
+            f"  {tails[link.source]} -> {heads[link.target]} "
+            f"[label={weight_labels[link.weight]}{dashed}];"
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["}", ""]
+    return "\n".join(lines)

@@ -128,26 +128,34 @@ def test_compose_bridges_taxonomy_names(table2, tmp_path):
 
 
 def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch):
-    # Readers clean each distinct raw label text once per document, and
-    # outputs built from validated links and series are not re-cleaned. A
-    # split source repeats on each of its rows and an aggregate target on each
-    # of its rows, and " DEU" and "DEU" are two raw texts of one label, so the
-    # count of distinct texts is below the count of label fields. Patched in
-    # every module that binds clean_label.
+    # Readers clean each distinct raw label text once per document, either
+    # through the batch cleaner or through clean_label, and outputs built from
+    # validated links and series are not re-cleaned. A split source repeats on
+    # each of its rows and an aggregate target on each of its rows, and " DEU"
+    # and "DEU" are two raw texts of one label, so the count of distinct texts
+    # is below the count of label fields. Both cleaners are patched in every
+    # module that binds them, and every text either one is given is counted.
     import xmap.core
 
     calls = []
-    original = xmap.core.clean_label
+    original, original_batch = xmap.core.clean_label, xmap.core.clean_labels
 
     def counted(text):
         calls.append(text)
         return original(text)
+
+    def counted_batch(texts):
+        texts = list(texts)
+        calls.extend(texts)
+        return original_batch(texts)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "xmap" and module is not None:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+                elif value is original_batch:
+                    monkeypatch.setattr(module, attr, counted_batch)
     merge_text = (
         "from,to,weight\n"
         "BEL,BENELUX,1\n"

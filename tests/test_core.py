@@ -294,6 +294,22 @@ def test_values_survive_pickle_copy_and_replace(duplicate):
     assert twin == series and dict(twin.entries) == dict(series.entries)
 
 
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy, dataclasses.replace],
+    ids=["pickle", "copy", "deepcopy", "replace"],
+)
+def test_values_duplicated_before_pair_order_is_read(duplicate):
+    # pair_order is built on first use, so a value duplicated before then
+    # builds its own from the links it carries.
+    crossmap = country_fixture()
+    assert "pair_order" not in vars(crossmap)
+    twin = duplicate(crossmap)
+    assert twin == crossmap and hash(twin) == hash(crossmap)
+    assert twin.pair_order == tuple(sorted(crossmap.links, key=lambda link: link.pair))
+    assert _views(twin) == _views(crossmap)
+
+
 def test_replace_cleans_labels_and_link_stays_frozen_and_slotted():
     link = dataclasses.replace(Link("a", "b", 0.5), source=" c ")
     assert link == Link("c", "b", 0.5)

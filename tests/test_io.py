@@ -9,8 +9,10 @@ from xmap import (
     DuplicateLink,
     DuplicateSourceCode,
     EmptyCell,
+    EmptyCrossmap,
     IndexedSeries,
     InvalidLabel,
+    Link,
     MissingColumn,
     NonFiniteValue,
     ParseError,
@@ -36,6 +38,7 @@ from helpers import (
     ISO_TABLE_TEXT,
     country_fixture,
     country_series,
+    oracle_read_edge_list,
 )
 
 
@@ -144,6 +147,67 @@ def test_read_edge_list_multi_defect_policy(rows, error, line):
         read_edge_list("from,to,weight\n" + rows, "x", "y")
     assert caught.value.line == line
     assert f"(line {line})" in str(caught.value)
+
+
+_H = "from,to,weight"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (f"{_H}\r\na,b,0.5\r\na,c,0.5\r\n", None),
+        (f"{_H}\r\r\na,b,0.5\r\r\na,c,0.5\r\r\n", None),
+        (f"{_H}\na\tb,c,1\n", None),
+        (f"{_H}\na,b,1\nc,d\ufffe,1\n",
+         (InvalidLabel, "invalid category label 'd\\ufffe': contains non-XML character '\\ufffe'", 3)),
+        (f"{_H}\na,b,1\nc, \t ,1\n",
+         (InvalidLabel, "invalid category label '': empty after trimming whitespace", 3)),
+        (f"{_H}\na,b,1_0\n", (ParseError, "parse error: invalid weight '1_0'", 2)),
+        (f"{_H}\na,b,\uff11\n", (ParseError, "parse error: invalid weight '\uff11'", 2)),
+        (f"{_H}\na,b,1\nc,d, nan \n", (ParseError, "parse error: invalid weight 'nan'", 3)),
+        (f"{_H}\na,b,0\n", (WeightOutOfRange, (
+            "link 'a' -> 'b' has weight 0.0; "
+            "weights must satisfy 0 < weight <= 1 (omit the link for zero)"
+        ), 2)),
+        (f"{_H}\na,b,1.5\n", (WeightOutOfRange, (
+            "link 'a' -> 'b' has weight 1.5; "
+            "weights must satisfy 0 < weight <= 1 (omit the link for zero)"
+        ), 2)),
+        (f"{_H}\na,b,1\n,c,1\nd,e,1,1\n",
+         (InvalidLabel, "invalid category label '': empty after trimming whitespace", 3)),
+        (f"{_H}\n", (EmptyCrossmap, (
+            "crossmap has no links; a mapping with no links transforms nothing"
+        ), None)),
+    ],
+    ids=["crlf", "cr-cr-lf", "inner-tab", "non-character", "whitespace-cell", "underscore",
+         "fullwidth-1", "nan", "zero", "above-one", "four-fields-after-bad-label", "header-only"],
+)
+def test_read_edge_list_column_checks_fall_back_to_the_row_loop(text, expected, monkeypatch):
+    # Every way the column checks can refuse a document sends it to the row
+    # loop, which names the first defect as the oracle does; a document the
+    # checks accept never reaches it.
+    import xmap.io
+
+    fallbacks = []
+    row_loop = xmap.io._raise_first_row_defect
+
+    def counted(rows):
+        fallbacks.append(rows)
+        row_loop(rows)
+
+    monkeypatch.setattr(xmap.io, "_raise_first_row_defect", counted)
+    oracle = oracle_read_edge_list(text)
+    if expected is None:
+        assert read_edge_list(text, "x", "y").links == tuple(Link(*row) for row in oracle)
+        assert not fallbacks
+        return
+    assert oracle == expected
+    error, message, line = expected
+    with pytest.raises(error) as caught:
+        read_edge_list(text, "x", "y")
+    assert caught.value.line == line
+    assert str(caught.value) == (message if line is None else f"{message} (line {line})")
+    assert len(fallbacks) == (line is not None)
 
 
 def test_write_edge_list_weight_formatting():

@@ -16,6 +16,7 @@ from xmap import (
     CrossmapError,
     DuplicateLink,
     IndexedSeries,
+    InvalidLabel,
     LayoutPlan,
     Link,
     MassUnderflow,
@@ -41,6 +42,7 @@ from xmap import (
     write_summary_json,
 )
 from xmap.cli import run
+from xmap.core import clean_label, clean_labels
 from xmap.io import format_weight
 from xmap.viz import _escape, count_crossings
 from helpers import (
@@ -415,6 +417,35 @@ def test_link_order_never_changes_results(data):
         compose(first, second)
     )
     assert summarize(first_shuffled) == summarize(first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_order_is_the_links_sorted_by_pair(data):
+    crossmap = shuffled(data, data.draw(crossmaps()))
+    assert crossmap.pair_order == tuple(sorted(crossmap.links, key=lambda link: link.pair))
+    for source in crossmap.source_categories:
+        assert crossmap.links_from(source) == tuple(
+            link for link in crossmap.pair_order if link.source == source
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.text(alphabet=st.sampled_from(["a", "B", " ", "\t", "\u00e9", *_BAD_LABEL_CHARS]), max_size=4),
+    max_size=6,
+))
+def test_clean_labels_agrees_with_clean_label(texts):
+    # The batch cleaner returns what clean_label returns for each text, or
+    # None where clean_label refuses any one of them.
+    cleaned = {}
+    for text in texts:
+        try:
+            cleaned[text] = clean_label(text)
+        except InvalidLabel:
+            cleaned = None
+            break
+    assert clean_labels(texts) == cleaned
 
 
 @st.composite

@@ -178,6 +178,27 @@ def test_dot_output_shape():
     assert dot.count("{") == dot.count("}")
 
 
+def test_dot_quotes_each_category_and_weight_text_once(monkeypatch):
+    # A node id is quoted once and reused by every edge at that node.
+    import xmap.viz
+
+    quoted = []
+    original = xmap.viz._dot_quote
+
+    def counted(text):
+        quoted.append(text)
+        return original(text)
+
+    monkeypatch.setattr(xmap.viz, "_dot_quote", counted)
+    crossmap = country_fixture()
+    dot = render_dot(crossmap)
+    monkeypatch.undo()
+    assert dot == render_dot(crossmap)
+    categories = len(crossmap.source_categories) + len(crossmap.target_categories)
+    # each node's id and label, and each distinct weight text
+    assert len(quoted) == 2 * categories + len({link.weight for link in crossmap.links})
+
+
 def test_chain_layout_columns_and_extras():
     recode = country_fixture()
     merge = build_crossmap(
