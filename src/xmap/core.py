@@ -19,13 +19,13 @@ threads; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Iterable, Mapping, NoReturn, Union
+from typing import Iterable, Mapping, NoReturn, Sequence, Union
 
 from .errors import (
     DuplicateLink,
@@ -96,15 +96,13 @@ class Link:
 
     def __post_init__(self) -> None:
         source, target = clean_label(self.source), clean_label(self.target)
-        _fill_link(self, source, target, float(self.weight))
-
-    @classmethod
-    def _from_clean(cls, source: str, target: str, weight: float) -> Link:
-        """A link from labels ``clean_label`` already returned and a float
-        weight: only the weight's range is checked."""
-        link = object.__new__(cls)
-        _fill_link(link, source, target, weight)
-        return link
+        weight = float(self.weight)
+        # NaN fails both comparisons below, so non-finite weights land here too.
+        if not (0.0 < weight <= 1.0):
+            raise WeightOutOfRange(source, target, weight)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_weight(self, weight)
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -117,13 +115,15 @@ _set_target = Link.__dict__["target"].__set__
 _set_weight = Link.__dict__["weight"].__set__
 
 
-def _fill_link(link: Link, source: str, target: str, weight: float) -> None:
-    # NaN fails both comparisons below, so non-finite weights land here too.
-    if not (0.0 < weight <= 1.0):
-        raise WeightOutOfRange(source, target, weight)
-    _set_source(link, source)
-    _set_target(link, target)
-    _set_weight(link, weight)
+def _links(sources: Sequence[str], targets: Iterable[str], weights: Iterable[float]) -> list[Link]:
+    """Links built column by column with no check, link i from the i-th item
+    of each column. Every source and target must be a label ``clean_label``
+    returned and every weight a float in (0, 1]."""
+    links = list(map(object.__new__, repeat(Link, len(sources))))
+    deque(map(_set_source, links, sources), maxlen=0)
+    deque(map(_set_target, links, targets), maxlen=0)
+    deque(map(_set_weight, links, weights), maxlen=0)
+    return links
 
 
 _target_of = attrgetter("target")
@@ -219,10 +219,15 @@ class Crossmap:
             if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
                 violations.append((source, total))
             groups[source] = tuple(group)
+        # Only a failure looks up the input index of the link it names.
         if duplicates:
-            raise DuplicateLink(*min(duplicates))
+            source, target = min(duplicates)
+            seconds = [i for i, link in enumerate(links) if link.pair == (source, target)]
+            raise DuplicateLink(source, target, index=seconds[1])
         if violations:
-            raise WeightSumViolation(*min(violations))
+            source, total = min(violations)
+            last = max(i for i, link in enumerate(links) if link.source == source)
+            raise WeightSumViolation(source, total, index=last)
         object.__setattr__(self, "_links_by_source", groups)
 
     # -- derived structure, each computed once on first use (the dataclass is

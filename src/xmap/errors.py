@@ -55,10 +55,11 @@ class EmptyCrossmap(CrossmapError):
 
 
 class DuplicateLink(CrossmapError):
-    def __init__(self, source: str, target: str):
+    def __init__(self, source: str, target: str, index: int | None = None):
         super().__init__(f"duplicate link {source!r} -> {target!r}")
         self.source = source
         self.target = target
+        self.index = index
 
 
 class WeightOutOfRange(CrossmapError):
@@ -73,12 +74,13 @@ class WeightOutOfRange(CrossmapError):
 
 
 class WeightSumViolation(CrossmapError):
-    def __init__(self, source: str, total: float):
+    def __init__(self, source: str, total: float, index: int | None = None):
         super().__init__(
             f"outgoing weights for source {source!r} sum to {total:.9g}, expected 1"
         )
         self.source = source
         self.total = total
+        self.index = index
 
 
 class UnknownCategory(CrossmapError):

@@ -10,7 +10,6 @@ All parse errors carry 1-based line numbers.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -19,9 +18,7 @@ from .core import (
     Crossmap,
     CrossmapSummary,
     Link,
-    _set_source,
-    _set_target,
-    _set_weight,
+    _links,
     _weight_of,
     build_crossmap,
     clean_label,
@@ -125,18 +122,13 @@ def _number(text: str, line: int, what: str) -> float:
 
 class _Labels(dict):
     """Cleaned labels keyed by the cell text they were read from, each text
-    cleaned on its first lookup. With ``trim``, a text is trimmed before
-    ``clean_label`` sees it, so an error names the trimmed text. A text that
-    fails is not stored, so every lookup of it fails the same way."""
+    cleaned on its first lookup. A text that fails is not stored, so every
+    lookup of it fails the same way."""
 
-    __slots__ = ("trim",)
-
-    def __init__(self, trim: bool) -> None:
-        super().__init__()
-        self.trim = trim
+    __slots__ = ()
 
     def __missing__(self, text: str) -> str:
-        label = self[text] = clean_label(text.strip() if self.trim else text)
+        label = self[text] = clean_label(text)
         return label
 
 
@@ -159,21 +151,17 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     links = _edge_links(_body(text, EDGE_LIST_HEADER))
     # Every row parsed, so link i sits on line i + 2.
     try:
-        return Crossmap(source_taxonomy, target_taxonomy, tuple(links))
-    except DuplicateLink as err:
-        rows = [i for i, link in enumerate(links) if link.pair == (err.source, err.target)]
-        raise err.at_line(rows[1] + 2)
-    except WeightSumViolation as err:
-        rows = [i for i, link in enumerate(links) if link.source == err.source]
-        raise err.at_line(rows[-1] + 2)
+        return Crossmap(source_taxonomy, target_taxonomy, links)
+    except (DuplicateLink, WeightSumViolation) as err:
+        raise err.at_line(err.index + 2)
 
 
 def _edge_links(rows: list[str]) -> list[Link]:
     """The links of an edge list's rows, checked by columns.
 
     Every row must hold exactly two commas; the rows are then split once into
-    three columns, each distinct weight text and label text is checked once,
-    and the links are built column by column, each column freed once used.
+    three columns, and each distinct weight text and label text is checked
+    once. Each column of texts is freed once its column of values is made.
     Where any check fails, :func:`_raise_first_row_defect` names the defect.
     """
     count = len(rows)
@@ -191,13 +179,10 @@ def _edge_links(rows: list[str]) -> list[Link]:
     labels = None if weights is None else clean_labels({*sources, *targets})
     if labels is None:
         _raise_first_row_defect(enumerate(zip(sources, targets, weight_texts), start=2))
-    links = list(map(object.__new__, repeat(Link, count)))
-    deque(map(_set_source, links, map(labels.__getitem__, sources)), maxlen=0)
-    del sources
-    deque(map(_set_target, links, map(labels.__getitem__, targets)), maxlen=0)
-    del targets, labels
-    deque(map(_set_weight, links, map(weights.__getitem__, weight_texts)), maxlen=0)
-    return links
+    sources = list(map(labels.__getitem__, sources))
+    targets = list(map(labels.__getitem__, targets))
+    del labels
+    return _links(sources, targets, list(map(weights.__getitem__, weight_texts)))
 
 
 def _edge_weights(texts: Iterable[str]) -> dict[str, float] | None:
@@ -215,18 +200,13 @@ def _edge_weights(texts: Iterable[str]) -> dict[str, float] | None:
 def _raise_first_row_defect(rows: Iterable[tuple[int, Sequence[str]]]) -> NoReturn:
     """Check (line number, fields as written) edge-list rows one by one, in
     line order, and raise the first row-local defect with its line."""
-    labels = _Labels(trim=True)
-    weights: dict[str, float] = {}  # weight text -> finite float
     for number, (raw_from, raw_to, raw_weight) in rows:
-        weight = weights.get(raw_weight)
-        if weight is None:
-            stripped = raw_weight.strip()
-            weight = _number(stripped, number, "weight")
-            if not math.isfinite(weight):
-                raise ParseError(number, f"invalid weight {stripped!r}")
-            weights[raw_weight] = weight
+        stripped = raw_weight.strip()
+        weight = _number(stripped, number, "weight")
+        if not math.isfinite(weight):
+            raise ParseError(number, f"invalid weight {stripped!r}")
         try:
-            Link._from_clean(labels[raw_from], labels[raw_to], weight)
+            Link(raw_from.strip(), raw_to.strip(), weight)
         except CrossmapError as err:
             raise err.at_line(number)
     raise AssertionError("the column checks refused rows that every row check passes")
@@ -287,8 +267,8 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     from_idx = doc.columns.index(from_col)
     to_idx = doc.columns.index(to_col)
 
-    labels = _Labels(trim=False)
-    links: list[Link] = []
+    labels = _Labels()
+    sources, targets = [], []
     seen_sources: set[str] = set()
     for number, row in enumerate(doc.rows, start=2):
         for idx, name in ((from_idx, from_col), (to_idx, to_col)):
@@ -301,8 +281,9 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
         if source in seen_sources:
             raise DuplicateSourceCode(source).at_line(number)
         seen_sources.add(source)
-        links.append(Link._from_clean(source, target, 1.0))
-    return build_crossmap(from_col, to_col, links)
+        sources.append(source)
+        targets.append(target)
+    return build_crossmap(from_col, to_col, _links(sources, targets, repeat(1.0)))
 
 
 # ── value series and panels ───────────────────────────────────────────────

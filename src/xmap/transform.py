@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     Crossmap,
-    Link,
     RelationKind,
     _left_to_right_sum,
+    _links,
     _weight_of,
     classify_source,
     classify_target,
@@ -211,7 +212,7 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     firsts, seconds = a._links_by_source, b._links_by_source
-    links: list[Link] = []
+    sources, targets, shares = [], [], []
     for source in sorted(firsts):
         weights: dict[str, float] = {}
         for first in firsts[source]:
@@ -224,8 +225,10 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
             if w > 0.0:
                 # The exact sum never exceeds 1, but float accumulation can overshoot
                 # by an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the weight stays legal.
-                links.append(Link._from_clean(source, target, min(w, 1.0)))
-    return Crossmap(a.source_taxonomy, b.target_taxonomy, tuple(links))
+                sources.append(source)
+                targets.append(target)
+                shares.append(min(w, 1.0))
+    return Crossmap(a.source_taxonomy, b.target_taxonomy, _links(sources, targets, shares))
 
 
 def invert(crossmap: Crossmap) -> Crossmap:
@@ -246,7 +249,8 @@ def invert(crossmap: Crossmap) -> Crossmap:
         # A lone link within the sum tolerance of 1 is valid but is no crosswalk.
         first = next(l for l in crossmap.pair_order if l.weight != 1.0)
         raise NotBijective("non-unit-weight", first.source)
-    reversed_links = tuple(Link._from_clean(l.target, l.source, 1.0) for l in crossmap.links)
+    links = crossmap.links
+    reversed_links = _links([l.target for l in links], [l.source for l in links], repeat(1.0))
     return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 
 

@@ -148,37 +148,33 @@ def random_series(rng: random.Random, crossmap: Crossmap, integer: bool = False)
 # ── oracles ───────────────────────────────────────────────────────────────
 
 
-def oracle_first_defect(links: list[tuple[str, str, float]]) -> tuple[type, str] | None:
+def oracle_first_defect(links: list[tuple[str, str, float]]) -> tuple[type, str, int] | None:
     """The error a crossmap over ``links`` (clean labels, weights in (0, 1])
-    must raise, as (class, message), or None when the links are valid.
+    must raise, as (class, message, index), or None when the links are valid.
 
-    Duplicates come first: the smallest pair given more than once. Then sums:
-    the smallest source whose weights, added one by one in (source, target)
-    order, end more than 1e-6 away from 1.
+    Duplicates come first: the smallest pair given more than once, at the
+    position in ``links`` of its second link. Then sums: the smallest source
+    whose weights, added one by one in (source, target) order, end more than
+    1e-6 away from 1, at the position of its last link.
     """
-    found = _first_map_defect(links)
-    return None if found is None else found[:2]
-
-
-def _first_map_defect(links: list[tuple[str, str, float]]) -> tuple[type, str, tuple] | None:
-    """:func:`oracle_first_defect`'s (class, message), and the duplicated
-    pair or the violating source as a 1-tuple."""
     counts: dict[tuple[str, str], int] = {}
     for source, target, _ in links:
         counts[source, target] = counts.get((source, target), 0) + 1
     repeated = [pair for pair, count in counts.items() if count > 1]
     if repeated:
         source, target = min(repeated)
-        return DuplicateLink, f"duplicate link {source!r} -> {target!r}", (source, target)
+        at = [i for i, link in enumerate(links) if link[:2] == (source, target)]
+        return DuplicateLink, f"duplicate link {source!r} -> {target!r}", at[1]
     totals: dict[str, float] = {}
     for source, _, weight in sorted(links, key=lambda link: (link[0], link[1])):
         totals[source] = totals.get(source, 0.0) + weight
     off = [source for source, total in totals.items() if abs(total - 1.0) > 1e-6]
     if off:
         source = min(off)
+        last = max(i for i, link in enumerate(links) if link[0] == source)
         return WeightSumViolation, (
             f"outgoing weights for source {source!r} sum to {totals[source]:.9g}, expected 1"
-        ), (source,)
+        ), last
     return None
 
 
@@ -254,13 +250,11 @@ def oracle_read_edge_list(
         rows.append((source, target, weight))
     if not rows:
         return EmptyCrossmap, "crossmap has no links; a mapping with no links transforms nothing", None
-    found = _first_map_defect(rows)
+    found = oracle_first_defect(rows)
     if found is None:
         return rows
-    error, message, key = found
-    # rows[i] sits on line i + 2; the key is a pair, or a source alone.
-    at = [i for i, row in enumerate(rows) if row[: len(key)] == key]
-    return error, message, (at[1] if error is DuplicateLink else at[-1]) + 2
+    error, message, index = found
+    return error, message, index + 2  # rows[i] sits on line i + 2
 
 
 def oracle_expand_group_sum(

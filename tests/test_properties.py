@@ -267,7 +267,8 @@ def test_duplicated_link_is_rejected(data):
 def test_validation_reports_the_defect_the_oracle_finds(data):
     # Duplicates (with any weight) and replaced weights injected into a valid
     # map, then shuffled: the error is the smallest duplicated pair, else the
-    # smallest source off by more than the tolerance, else none.
+    # smallest source off by more than the tolerance, else none. Its index is
+    # the input position of the pair's second link or the source's last link.
     crossmap = data.draw(crossmaps())
     links = [(link.source, link.target, link.weight) for link in crossmap.links]
     weights = st.floats(min_value=1e-3, max_value=1.0)
@@ -285,7 +286,7 @@ def test_validation_reports_the_defect_the_oracle_finds(data):
     else:
         with pytest.raises(CrossmapError) as caught:
             build_crossmap("alpha", "beta", links)
-        assert (type(caught.value), str(caught.value)) == expected
+        assert (type(caught.value), str(caught.value), caught.value.index) == expected
 
 
 # Edge-list texts for the reader oracle. A valid map is written with each
