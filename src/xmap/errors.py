@@ -55,6 +55,10 @@ class EmptyCrossmap(CrossmapError):
 
 
 class DuplicateLink(CrossmapError):
+    """A (source, target) pair given more than once. Where a ``Crossmap``
+    raises it, ``index`` is the input position of the pair's second link;
+    otherwise it is None."""
+
     def __init__(self, source: str, target: str, index: int | None = None):
         super().__init__(f"duplicate link {source!r} -> {target!r}")
         self.source = source
@@ -74,6 +78,11 @@ class WeightOutOfRange(CrossmapError):
 
 
 class WeightSumViolation(CrossmapError):
+    """A source whose weights, added left to right in target order, sum to
+    ``total``, more than the tolerance away from 1. Where a ``Crossmap``
+    raises it, ``index`` is the input position of the source's last link;
+    otherwise it is None."""
+
     def __init__(self, source: str, total: float, index: int | None = None):
         super().__init__(
             f"outgoing weights for source {source!r} sum to {total:.9g}, expected 1"
@@ -81,6 +90,17 @@ class WeightSumViolation(CrossmapError):
         self.source = source
         self.total = total
         self.index = index
+
+
+class CompoundedSlack(WeightSumViolation):
+    """Two valid maps whose composition has a source off the weight-sum
+    tolerance: each map's sums lie within it, but their slack compounds."""
+
+    def __str__(self) -> str:
+        return (
+            f"composed weights for source {self.source!r} sum to {self.total:.9g}, expected 1: "
+            "both maps are valid, but the slack of their weight sums compounds beyond the tolerance"
+        )
 
 
 class UnknownCategory(CrossmapError):

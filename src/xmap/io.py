@@ -142,11 +142,13 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     explicit weight (crosswalk tables without weights go through
     :func:`import_crosswalk` instead). Row-local defects are reported first,
     in line order; crossmap validation failures come after, with the line of
-    the duplicate's second occurrence or of the violating source's last row.
-    Within a row the field count is checked first, then the weight text and
-    its finiteness, the source label, the target label and the weight range.
-    Each distinct label text and weight text is checked once: a defect on a
-    repeated text is reported at its first row.
+    the duplicate's second occurrence or of the violating source's last row,
+    which the error's ``index`` gives. Within a row the field count is
+    checked first, then the weight text and its finiteness, the source label,
+    the target label and the weight range. Each distinct label text and
+    weight text is checked once by columns; only a document those checks
+    refuse is read again row by row, each row's labels and weight range
+    checked by ``Link`` itself, so a defect is reported at its first row.
     """
     links = _edge_links(_body(text, EDGE_LIST_HEADER))
     # Every row parsed, so link i sits on line i + 2.
@@ -259,7 +261,8 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     Each row becomes one link with weight 1; the column names become the
     taxonomy names. The from-column must map each source code once. Any
     descriptive columns (human-readable names and the like) are dropped.
-    Each distinct code text is cleaned once per table.
+    Each distinct code text is cleaned once per table, and the links are
+    built from the two cleaned columns with no second check.
     """
     for name in (from_col, to_col):
         if name not in doc.columns:

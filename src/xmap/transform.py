@@ -30,6 +30,7 @@ from .core import (
     clean_label,
 )
 from .errors import (
+    CompoundedSlack,
     CrossmapError,
     DuplicateKey,
     DuplicateUnit,
@@ -40,6 +41,7 @@ from .errors import (
     TargetTaxonomyMismatch,
     TaxonomyMismatch,
     UncoveredIntermediate,
+    WeightSumViolation,
 )
 
 _FLOOR = sys.float_info.min  # the smallest normal float: a product below it has lost precision
@@ -205,10 +207,12 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     weight(s -> m) * weight(m -> u). Every target of ``a`` must be a source of
     ``b``; composition never renormalises, because renormalisation would
     invent weights the analyst never specified. Under that coverage condition
-    the product of row-stochastic maps is row-stochastic, so the result passes
-    full validation. A composed share that underflows to 0.0 is left out, as
-    a zero share is the absence of a link. Composed links are ordered by
-    (source, target).
+    the product of row-stochastic maps is row-stochastic. Sums within the
+    tolerance of 1 compound, though: (1 + e_a)(1 + e_b) - 1 can leave it, and
+    then ``CompoundedSlack`` names the smallest such source and the total
+    ``Crossmap`` found for it. A composed share that underflows to 0.0 is
+    left out, as a zero share is the absence of a link. Composed links are
+    ordered by (source, target).
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     firsts, seconds = a._links_by_source, b._links_by_source
@@ -223,12 +227,15 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
         for target in sorted(weights):
             w = weights[target]
             if w > 0.0:
-                # The exact sum never exceeds 1, but float accumulation can overshoot
-                # by an ulp (0.1 + 0.2 + 0.7 > 1); clamp so the weight stays legal.
+                # Float accumulation can overshoot 1 by an ulp (0.1 + 0.2 + 0.7 > 1), and
+                # inputs within the sum tolerance by more; clamp so the weight stays legal.
                 sources.append(source)
                 targets.append(target)
                 shares.append(min(w, 1.0))
-    return Crossmap(a.source_taxonomy, b.target_taxonomy, _links(sources, targets, shares))
+    try:
+        return Crossmap(a.source_taxonomy, b.target_taxonomy, _links(sources, targets, shares))
+    except WeightSumViolation as err:  # both inputs are valid, so their slack compounded
+        raise CompoundedSlack(err.source, err.total) from None
 
 
 def invert(crossmap: Crossmap) -> Crossmap:

@@ -195,6 +195,21 @@ def test_compose_uncovered_intermediate(table2, tmp_path):
     assert "AUS" in err
 
 
+def test_compose_of_valid_maps_names_compounded_slack(tmp_path):
+    first = tmp_path / "a.csv"
+    first.write_text("from,to,weight\ns,m1,0.5000009\ns,m2,0.5\n")
+    second = tmp_path / "b.csv"
+    second.write_text(
+        "from,to,weight\nm1,u1,0.5000009\nm1,u2,0.5\nm2,u1,0.5000009\nm2,u2,0.5\n"
+    )
+    for path in (first, second):
+        assert invoke("validate", str(path))[0] == 0
+    assert invoke("compose", str(first), str(second)) == (1, "", (
+        "error: composed weights for source 's' sum to 1.0000018, expected 1: both maps are "
+        "valid, but the slack of their weight sums compounds beyond the tolerance\n"
+    ))
+
+
 def test_compose_with_tiny_weight_validates(tmp_path):
     first = tmp_path / "first.csv"
     first.write_text("from,to,weight\na,b,1\n")

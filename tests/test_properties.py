@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xmap import (
+    CompoundedSlack,
     Crossmap,
     CrossmapError,
     DuplicateLink,
@@ -104,6 +105,45 @@ def crossmaps_from(draw, sources: tuple[str, ...], source_taxonomy: str) -> Cros
 def composed_crossmaps(draw) -> Crossmap:
     first = draw(crossmaps())
     return compose(first, draw(crossmaps_from(first.target_categories, first.target_taxonomy)))
+
+
+# Per-source sums anywhere in the band the weight-sum tolerance admits, its
+# two edges drawn often.
+_BAND_SUMS = st.one_of(st.sampled_from([1 - 1e-6, 1 + 1e-6]), st.floats(1 - 1e-6, 1 + 1e-6))
+
+
+@st.composite
+def band_crossmaps(draw, sources=None, taxonomies=("alpha", "beta")) -> Crossmap:
+    """A crossmap whose sources (``sources``, or drawn) each send weights
+    that sum, added left to right in target order, to a drawn point of the
+    band [1 - 1e-6, 1 + 1e-6]. A sum that lands just outside it in floats is
+    moved in by nudging the last weight an ulp at a time."""
+    sources = draw(label_lists) if sources is None else sources
+    targets = draw(label_lists)
+    links: list[tuple[str, str, float]] = []
+    for source in sources:
+        fan = draw(st.integers(1, min(3, len(targets))))
+        heads = sorted(draw(st.permutations(targets))[:fan])
+        total = draw(_BAND_SUMS) if fan > 1 else min(draw(_BAND_SUMS), 1.0)
+        shares = draw(st.lists(st.integers(1, 9), min_size=fan, max_size=fan))
+        weights = [total * share / sum(shares) for share in shares]
+        while True:
+            added = 0.0
+            for weight in weights:
+                added += weight
+            if abs(added - 1.0) <= 1e-6:
+                break
+            weights[-1] = math.nextafter(weights[-1], 0.0 if added > 1.0 else 1.0)
+        links.extend(zip([source] * fan, heads, weights))
+    return build_crossmap(*taxonomies, links)
+
+
+def assert_links_are_plain(crossmap: Crossmap) -> None:
+    """Each link equals, hashes like and pickles like ``Link(source, target, weight)``."""
+    for link in crossmap.links:
+        twin = Link(link.source, link.target, link.weight)
+        back = pickle.loads(pickle.dumps(link))
+        assert link == twin == back and hash(link) == hash(twin) == hash(back)
 
 
 def shuffled(data, crossmap: Crossmap) -> Crossmap:
@@ -394,6 +434,7 @@ def test_invert_is_an_involution_on_bijections(data):
     others = data.draw(st.permutations([f"x{code}" for code in codes]))
     walk = build_crossmap("left", "right", [(a, b, 1.0) for a, b in zip(codes, others)])
     assert invert(invert(walk)) == walk
+    assert_links_are_plain(invert(walk))
     round_tripped = apply(invert(walk), apply(walk, IndexedSeries("left", {codes[0]: 7.0})))
     assert round_tripped.entries[codes[0]] == 7.0
 
@@ -418,6 +459,20 @@ def test_link_order_never_changes_results(data):
         compose(first, second)
     )
     assert summarize(first_shuffled) == summarize(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compose_across_the_tolerance_band_gives_a_map_or_compounded_slack(data):
+    # Never a bare WeightSumViolation: compose names the slack it compounded.
+    first = data.draw(band_crossmaps())
+    second = data.draw(band_crossmaps(first.target_categories, ("beta", "gamma")))
+    try:
+        composed = compose(first, second)
+    except CompoundedSlack as err:
+        assert err.source in first.source_categories and abs(err.total - 1.0) > 1e-6
+    else:
+        assert_links_are_plain(composed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -516,7 +571,7 @@ def fuzz_documents(draw, header: str) -> str:
 
 def _import_first_pair(text: str) -> None:
     doc = read_crosswalk_table(text)
-    import_crosswalk(doc, doc.columns[0], doc.columns[-1])
+    assert_links_are_plain(import_crosswalk(doc, doc.columns[0], doc.columns[-1]))
 
 
 @settings(max_examples=200, deadline=None)

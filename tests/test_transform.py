@@ -9,6 +9,7 @@ import random
 import pytest
 
 from xmap import (
+    CompoundedSlack,
     Crossmap,
     CrossmapError,
     DocumentError,
@@ -24,6 +25,7 @@ from xmap import (
     TargetTaxonomyMismatch,
     TaxonomyMismatch,
     UncoveredIntermediate,
+    WeightSumViolation,
     apply,
     apply_chain,
     build_crossmap,
@@ -159,6 +161,23 @@ def test_compose_clamps_float_overshoot():
     collect = build_crossmap("m", "y", [("m1", "u", 1.0), ("m2", "u", 1.0), ("m3", "u", 1.0)])
     fused = compose(spread, collect)
     assert fused.links[0].weight == 1.0
+
+
+def test_compose_names_slack_that_compounds_beyond_the_tolerance():
+    # Each source of either map sums to 1.0000009, inside the tolerance; the
+    # composed source sums to about (1 + 9e-7)^2 = 1.0000018, outside it.
+    a = build_crossmap("x", "m", [("s", "m1", 0.5000009), ("s", "m2", 0.5)])
+    b = build_crossmap("m", "y", [
+        ("m1", "u1", 0.5000009), ("m1", "u2", 0.5), ("m2", "u1", 0.5000009), ("m2", "u2", 0.5)
+    ])
+    with pytest.raises(CompoundedSlack) as caught:
+        compose(a, b)
+    assert isinstance(caught.value, WeightSumViolation)
+    assert (caught.value.source, caught.value.index) == ("s", None)
+    assert str(caught.value) == (
+        "composed weights for source 's' sum to 1.0000018, expected 1: both maps are valid, "
+        "but the slack of their weight sums compounds beyond the tolerance"
+    )
 
 
 def test_compose_leaves_out_shares_that_underflow_to_zero():
