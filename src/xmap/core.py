@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NoReturn, Sequence, Union
 
 from .errors import (
@@ -115,17 +115,25 @@ _set_target = Link.__dict__["target"].__set__
 _set_weight = Link.__dict__["weight"].__set__
 
 
+def _unchecked(cls: type, count: int, *columns: Iterable) -> list:
+    """``count`` instances of the frozen slotted dataclass ``cls`` built
+    column by column with no check, one column per field in declaration
+    order, instance i from the i-th item of each column. The caller vouches
+    for every value."""
+    values = list(map(object.__new__, repeat(cls, count)))
+    for name, column in zip(cls.__slots__, columns, strict=True):
+        deque(map(cls.__dict__[name].__set__, values, column), maxlen=0)
+    return values
+
+
 def _links(sources: Sequence[str], targets: Iterable[str], weights: Iterable[float]) -> list[Link]:
-    """Links built column by column with no check, link i from the i-th item
-    of each column. Every source and target must be a label ``clean_label``
-    returned and every weight a float in (0, 1]."""
-    links = list(map(object.__new__, repeat(Link, len(sources))))
-    deque(map(_set_source, links, sources), maxlen=0)
-    deque(map(_set_target, links, targets), maxlen=0)
-    deque(map(_set_weight, links, weights), maxlen=0)
-    return links
+    """Links built by :func:`_unchecked`, link i from the i-th item of each
+    column. Every source and target must be a label ``clean_label`` returned
+    and every weight a float in (0, 1]."""
+    return _unchecked(Link, len(sources), sources, targets, weights)
 
 
+_source_of = attrgetter("source")
 _target_of = attrgetter("target")
 _weight_of = attrgetter("weight")
 
@@ -357,15 +365,16 @@ class CrossmapSummary:
 
 def summarize(crossmap: Crossmap) -> CrossmapSummary:
     """Count sources, targets, links, splits and aggregates from the cached degrees."""
-    in_degrees = crossmap._in_degrees
-    ranked = sorted(in_degrees.items(), key=lambda item: (-item[1], item[0]))
+    out_degrees, in_degrees = crossmap._out_degrees, crossmap._in_degrees
+    ranked = sorted(in_degrees.items(), key=itemgetter(0))  # by label, then
+    ranked.sort(key=itemgetter(1), reverse=True)  # by in-degree, stably
     return CrossmapSummary(
-        n_sources=len(crossmap.source_categories),
-        n_targets=len(crossmap.target_categories),
+        n_sources=len(out_degrees),
+        n_targets=len(in_degrees),
         n_links=len(crossmap.links),
-        n_splits=list(crossmap._source_kinds.values()).count(RelationKind.SPLIT),
-        n_aggregates=list(crossmap._target_kinds.values()).count(RelationKind.AGGREGATE),
-        max_in_degree=max(in_degrees.values()),
+        n_splits=len(out_degrees) - list(out_degrees.values()).count(1),  # every degree is >= 1
+        n_aggregates=len(in_degrees) - list(in_degrees.values()).count(1),
+        max_in_degree=ranked[0][1],
         is_crosswalk=crossmap.is_crosswalk,
         most_synthetic_targets=tuple(ranked),
     )

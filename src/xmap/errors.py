@@ -41,12 +41,14 @@ class CrossmapError(Exception):
 
 
 class InvalidLabel(CrossmapError):
-    """Category label is empty or contains a banned character."""
+    """Category label is empty or contains a banned character. ``index`` is
+    the position of its entry where an ``IndexedSeries`` raises it, else None."""
 
     def __init__(self, text: str, reason: str):
         super().__init__(f"invalid category label {text!r}: {reason}")
         self.text = text
         self.reason = reason
+        self.index: int | None = None
 
 
 class EmptyCrossmap(CrossmapError):
@@ -198,10 +200,13 @@ class DuplicateKey(DocumentError):
 
 
 class NonFiniteValue(DocumentError):
-    def __init__(self, label: str, value: float):
+    """A series value that is not finite; ``index`` as for ``InvalidLabel``."""
+
+    def __init__(self, label: str, value: float, index: int | None = None):
         super().__init__(f"value for {label!r} is not finite: {value!r}")
         self.label = label
         self.value = value
+        self.index = index
 
 
 class MissingColumn(DocumentError):

@@ -309,10 +309,8 @@ def read_series(text: str, taxonomy: str) -> IndexedSeries:
     # Every row parsed and no key repeats, so entry i sits on line i + 2.
     try:
         return IndexedSeries(taxonomy, entries)
-    except InvalidLabel as err:
-        raise err.at_line(list(entries).index(err.text) + 2)
-    except NonFiniteValue as err:
-        raise err.at_line(list(entries).index(err.label) + 2)
+    except (InvalidLabel, NonFiniteValue) as err:
+        raise err.at_line(err.index + 2)
 
 
 def write_series(series: IndexedSeries) -> str:

@@ -34,6 +34,7 @@ from .errors import (
     CrossmapError,
     DuplicateKey,
     DuplicateUnit,
+    InvalidLabel,
     MassUnderflow,
     MissingSourceMapping,
     NonFiniteValue,
@@ -60,13 +61,17 @@ class IndexedSeries:
 
     def __post_init__(self) -> None:
         cleaned: dict[str, float] = {}
-        for key, value in self.entries.items():
-            label = clean_label(key)
+        for index, (key, value) in enumerate(self.entries.items()):
+            try:
+                label = clean_label(key)
+            except InvalidLabel as err:
+                err.index = index
+                raise
             if label in cleaned:
                 raise DuplicateKey(label)
             value = float(value)
             if not math.isfinite(value):
-                raise NonFiniteValue(label, value)
+                raise NonFiniteValue(label, value, index)
             cleaned[label] = value
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
 
@@ -211,8 +216,13 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     tolerance of 1 compound, though: (1 + e_a)(1 + e_b) - 1 can leave it, and
     then ``CompoundedSlack`` names the smallest such source and the total
     ``Crossmap`` found for it. A composed share that underflows to 0.0 is
-    left out, as a zero share is the absence of a link. Composed links are
-    ordered by (source, target).
+    left out, as a zero share is the absence of a link. A composed share
+    above 1 is clamped to 1, so the weight stays legal: float accumulation
+    overshoots by an ulp, but inputs within the tolerance e can overshoot by
+    up to (1 + e)^2 - 1. Then ``apply`` of the result drops that share of
+    the source's value, up to (2e + e^2) * |value|, where ``apply_chain``
+    through ``a`` and ``b`` keeps it. Composed links are ordered by
+    (source, target).
     """
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     firsts, seconds = a._links_by_source, b._links_by_source
@@ -227,8 +237,6 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
         for target in sorted(weights):
             w = weights[target]
             if w > 0.0:
-                # Float accumulation can overshoot 1 by an ulp (0.1 + 0.2 + 0.7 > 1), and
-                # inputs within the sum tolerance by more; clamp so the weight stays legal.
                 sources.append(source)
                 targets.append(target)
                 shares.append(min(w, 1.0))

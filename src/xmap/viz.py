@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import pairwise
+from itertools import chain, pairwise, repeat
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .core import Crossmap, RelationKind, classify_source, clean_label
+from .core import Crossmap, RelationKind, _source_of, _target_of, _unchecked, _weight_of, clean_label
 from .errors import InvalidLabel, PlanMismatch
 from .io import format_weight
 from .transform import MultiStepChain
@@ -53,7 +53,7 @@ class NodeOrdering(Enum):
     INPUT_ORDER = "input-order"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedNode:
     """One node of a layout: its label at grid column ``x``, row ``y``."""
 
@@ -62,17 +62,8 @@ class PlacedNode:
     y: int  # row index within the column
     style_class: str  # the RelationKind value of the node's role
 
-    @classmethod
-    def _of(cls, label: str, x: int, y: int, style_class: str) -> PlacedNode:
-        """``PlacedNode(label, x, y, style_class)``, its fields written
-        straight into the instance dict, past the frozen ``__setattr__``."""
-        node = object.__new__(cls)
-        fields = node.__dict__
-        fields["label"], fields["x"], fields["y"], fields["style_class"] = label, x, y, style_class
-        return node
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannedEdge:
     """One edge of a layout between placed nodes of adjacent columns, with
     its line style and the weight text drawn at its midpoint."""
@@ -83,21 +74,8 @@ class PlannedEdge:
     line_style: str  # SOLID or DASHED; dashed iff the tail node is a split
     label_text: str
 
-    @classmethod
-    def _of(
-        cls, tail: tuple[int, int], head: tuple[int, int], weight: float, line_style: str, label_text: str
-    ) -> PlannedEdge:
-        """``PlannedEdge(tail, head, weight, line_style, label_text)``, its
-        fields written straight into the instance dict, past the frozen
-        ``__setattr__``."""
-        edge = object.__new__(cls)
-        fields = edge.__dict__
-        fields["tail"], fields["head"], fields["weight"] = tail, head, weight
-        fields["line_style"], fields["label_text"] = line_style, label_text
-        return edge
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutPlan:
     """All a renderer reads: placed nodes per column, and edges between placed
     nodes of adjacent columns with their line style and weight text.
@@ -145,19 +123,6 @@ class LayoutPlan:
             if not _is_clean(text):
                 raise PlanMismatch(f"edge text {text!r} is not a clean label")
 
-    @classmethod
-    def _placed(
-        cls, layers: tuple[tuple[PlacedNode, ...], ...], edges: tuple[PlannedEdge, ...]
-    ) -> LayoutPlan:
-        """A plan ``_place`` built, without the checks above: its labels come
-        from validated links, its coordinates from ``enumerate`` and each
-        edge's text from ``format_weight``. The tests check that the public
-        constructor accepts every such plan unchanged."""
-        plan = object.__new__(cls)
-        fields = plan.__dict__
-        fields["layers"], fields["edges"] = layers, edges
-        return plan
-
 
 def _is_endpoint(at: object) -> bool:
     return type(at) is tuple and len(at) == 2 and type(at[0]) is int and type(at[1]) is int
@@ -178,6 +143,15 @@ def _rows(order: Sequence[str]) -> dict[str, int]:
     return {label: row for row, label in enumerate(order)}
 
 
+def _sources_into(step: Crossmap) -> dict[str, list[str]]:
+    """Each target of ``step`` with its sources in pair order, from one walk
+    of ``pair_order``."""
+    into: dict[str, list[str]] = {target: [] for target in step._in_degrees}
+    for link in step.pair_order:
+        into[link.target].append(link.source)
+    return into
+
+
 def _edge_look(step: Crossmap) -> tuple[dict[str, str], dict[float, str]]:
     """How the edges of ``step`` are drawn, in SVG and DOT alike: the line
     style leaving each source (DASHED from a split) and each weight's text."""
@@ -190,16 +164,17 @@ def _edge_look(step: Crossmap) -> tuple[dict[str, str], dict[float, str]]:
 
 def _edges(
     step: Crossmap, tail_at: dict[str, tuple[int, int]], head_at: dict[str, tuple[int, int]]
-) -> Iterator[PlannedEdge]:
+) -> list[PlannedEdge]:
     """One planned edge per link of ``step``, in pair order, between the
     ``(column, row)`` endpoints of its source and its target."""
     styles, texts = _edge_look(step)
-    return (
-        PlannedEdge._of(
-            tail_at[link.source], head_at[link.target], link.weight,
-            styles[link.source], texts[link.weight],
-        )
-        for link in step.pair_order
+    links = step.pair_order
+    sources = list(map(_source_of, links))
+    weights = list(map(_weight_of, links))
+    return _unchecked(
+        PlannedEdge, len(links),
+        map(tail_at.__getitem__, sources), map(head_at.__getitem__, map(_target_of, links)),
+        weights, map(styles.__getitem__, sources), map(texts.__getitem__, weights),
     )
 
 
@@ -214,20 +189,19 @@ def _place(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> Layout
     at = [
         {label: (column, row) for row, label in enumerate(order)} for column, order in enumerate(orders)
     ]
-    kinds = [
-        {label: kind.value for label, kind in column_kinds.items()}
-        for column_kinds in (steps[0]._source_kinds, *(step._target_kinds for step in steps))
-    ]
-    unique = RelationKind.UNIQUE.value
+    kinds = (steps[0]._source_kinds, *(step._target_kinds for step in steps))
+    text = {kind: kind.value for kind in RelationKind}
     layers = tuple(
-        tuple(
-            PlacedNode._of(label, column, row, kinds[column].get(label, unique))
-            for label, (column, row) in column_at.items()
-        )
-        for column_at in at
+        tuple(_unchecked(
+            PlacedNode, len(order), order, repeat(column, len(order)), range(len(order)),
+            map(text.__getitem__, map(column_kinds.get, order, repeat(RelationKind.UNIQUE))),
+        ))
+        for column, (order, column_kinds) in enumerate(zip(orders, kinds))
     )
-    edges = (_edges(step, at[gap], at[gap + 1]) for gap, step in enumerate(steps))
-    return LayoutPlan._placed(layers, tuple(edge for gap_edges in edges for edge in gap_edges))
+    edges = chain.from_iterable(_edges(step, at[gap], at[gap + 1]) for gap, step in enumerate(steps))
+    # Unchecked: labels come from validated links, coordinates from enumerate and
+    # edge texts from format_weight. The tests check that LayoutPlan accepts it unchanged.
+    return _unchecked(LayoutPlan, 1, (layers,), (tuple(edges),))[0]
 
 
 def layout_bipartite(
@@ -248,11 +222,13 @@ def layout_bipartite(
     targets = list(crossmap.target_categories)
     # Sorting the swept column by label first lets the stable sweep break ties by label.
     if ordering is NodeOrdering.SPLITS_FIRST:
-        sources.sort(key=lambda s: classify_source(crossmap, s) is not RelationKind.SPLIT)
+        not_split = {s: kind is not RelationKind.SPLIT for s, kind in crossmap._source_kinds.items()}
+        sources.sort(key=not_split.__getitem__)
         targets.sort()
-        _sweep(targets, sources, {t: [l.source for l in crossmap.links_into(t)] for t in targets})
+        _sweep(targets, sources, _sources_into(crossmap))
     elif ordering is NodeOrdering.TARGET_INDEGREE:
-        targets.sort(key=lambda t: (-crossmap.in_degree(t), t))
+        targets.sort()
+        targets.sort(key=crossmap._in_degrees.__getitem__, reverse=True)  # stable: ties stay by label
         sources.sort()
         _sweep(sources, targets, {h: [l.target for l in crossmap.links_from(h)] for h in sources})
     # INPUT_ORDER keeps first-appearance order on both columns.
@@ -321,7 +297,7 @@ def layout_chain(chain: MultiStepChain) -> LayoutPlan:
         onward = steps[index + 1].source_categories if index + 1 < len(steps) else ()
         orders.append(list(dict.fromkeys(step.target_categories + onward)))
 
-    into = [{t: [l.source for l in s.links_into(t)] for t in s.target_categories} for s in steps]
+    into = [_sources_into(s) for s in steps]
     out_of = [{h: [l.target for l in s.links_from(h)] for h in s.source_categories} for s in steps]
 
     best_orders = [list(order) for order in orders]
@@ -343,6 +319,8 @@ def layout_chain(chain: MultiStepChain) -> LayoutPlan:
 
 
 def _coord(value: float) -> str:
+    if value and value.is_integer():  # not -0.0, which the .2f path prints as "-0"
+        return str(int(value))
     text = f"{value:.2f}".rstrip("0").rstrip(".")
     return text or "0"
 

@@ -324,6 +324,24 @@ def test_read_series():
         read_series("key,value\na,ten\n", "old")
 
 
+def test_series_errors_carry_the_index_read_series_reports_as_a_line():
+    with pytest.raises(InvalidLabel) as caught:
+        IndexedSeries("t", {"a": 1.0, "b": 2.0, 'c"': 3.0})
+    assert (caught.value.index, caught.value.line) == (2, None)
+    with pytest.raises(NonFiniteValue) as caught:
+        IndexedSeries("t", {"a": 1.0, "b": float("inf")})
+    assert (caught.value.index, caught.value.line) == (1, None)
+    # A bad key is reported before a bad value on a later row, and each at
+    # the line of its entry.
+    with pytest.raises(InvalidLabel) as caught:
+        read_series('key,value\na,1\n  ,nan\nc"d,2\n', "t")
+    assert str(caught.value) == "invalid category label '': empty after trimming whitespace (line 3)"
+    with pytest.raises(NonFiniteValue) as caught:
+        read_series("key,value\na,1\nb,2\nc,-inf\nd\x01,3\n", "t")
+    assert str(caught.value) == "value for 'c' is not finite: -inf (line 4)"
+    assert (caught.value.index, caught.value.line) == (2, 4)
+
+
 def test_write_series_sorted_and_round_trips():
     series = IndexedSeries("t", {"b": 2.0, "a": 1.5})
     text = write_series(series)

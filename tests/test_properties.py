@@ -9,7 +9,7 @@ from collections import Counter
 from xml.dom import minidom
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from xmap import (
     CompoundedSlack,
@@ -21,13 +21,16 @@ from xmap import (
     LayoutPlan,
     Link,
     MassUnderflow,
+    MultiStepChain,
     NodeOrdering,
     PlacedNode,
     PlanMismatch,
     PlannedEdge,
     RelationKind,
+    WEIGHT_SUM_TOLERANCE,
     WeightSumViolation,
     apply,
+    apply_chain,
     build_crossmap,
     compose,
     import_crosswalk,
@@ -473,6 +476,36 @@ def test_compose_across_the_tolerance_band_gives_a_map_or_compounded_slack(data)
         assert err.source in first.source_categories and abs(err.total - 1.0) > 1e-6
     else:
         assert_links_are_plain(composed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_applying_a_composition_in_the_band_loses_at_most_its_clamped_slack(data):
+    # compose clamps a composed share above 1 to 1. Inside the tolerance band
+    # e a share can exceed 1 by up to (1 + e)^2 - 1 = 2e + e^2 of its source's
+    # value, which apply_chain keeps and apply of the composition drops.
+    first = data.draw(band_crossmaps())
+    second = data.draw(band_crossmaps(first.target_categories, ("beta", "gamma")))
+    try:
+        composed = compose(first, second)
+    except CompoundedSlack:
+        assume(False)
+    series = data.draw(series_for(first, integer=True))
+    chained = apply_chain(MultiStepChain((first, second)), series)
+    direct = apply(composed, series)
+    eps = WEIGHT_SUM_TOLERANCE
+    clamped = Counter()  # per target, the allowance of its clamped shares
+    for source in first.source_categories:
+        shares: dict[str, float] = {}  # formed as compose forms them
+        for a in first.links_from(source):
+            for b in second.links_from(a.target):
+                shares[b.target] = shares.get(b.target, 0.0) + a.weight * b.weight
+        for target, share in shares.items():
+            if share > 1.0:
+                clamped[target] += (2 * eps + eps * eps) * abs(series.entries[source])
+    mass = sum(abs(value) for value in series.entries.values())
+    for target, value in chained.entries.items():
+        assert abs(direct.entries.get(target, 0.0) - value) <= 1e-9 * mass + clamped[target]
 
 
 @settings(max_examples=100, deadline=None)

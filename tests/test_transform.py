@@ -25,6 +25,7 @@ from xmap import (
     TargetTaxonomyMismatch,
     TaxonomyMismatch,
     UncoveredIntermediate,
+    WEIGHT_SUM_TOLERANCE,
     WeightSumViolation,
     apply,
     apply_chain,
@@ -161,6 +162,20 @@ def test_compose_clamps_float_overshoot():
     collect = build_crossmap("m", "y", [("m1", "u", 1.0), ("m2", "u", 1.0), ("m3", "u", 1.0)])
     fused = compose(spread, collect)
     assert fused.links[0].weight == 1.0
+
+
+def test_compose_clamps_slack_within_the_tolerance_and_apply_drops_it():
+    # s sums to 1.0000009, inside the tolerance, and all of it reaches u: the
+    # composed share is clamped to 1, so applying the composition drops the
+    # 9e-7 of s's value that apply_chain carries, within (2e + e^2) * |value|.
+    a = build_crossmap("x", "m", [("s", "m1", 0.5000009), ("s", "m2", 0.5)])
+    b = build_crossmap("m", "y", [("m1", "u", 1.0), ("m2", "u", 1.0)])
+    assert [(l.source, l.target, l.weight) for l in compose(a, b).links] == [("s", "u", 1.0)]
+    series = IndexedSeries("x", {"s": 1e6})
+    direct = apply(compose(a, b), series).entries["u"]
+    chained = apply_chain(MultiStepChain((a, b)), series).entries["u"]
+    assert direct == 1e6 and chained == pytest.approx(1e6 + 0.9, abs=1e-6)
+    assert chained - direct <= (2 * WEIGHT_SUM_TOLERANCE + WEIGHT_SUM_TOLERANCE**2) * 1e6
 
 
 def test_compose_names_slack_that_compounds_beyond_the_tolerance():

@@ -23,6 +23,7 @@ from xmap import (
     render_svg,
 )
 from xmap.viz import count_crossings
+from xmap import viz
 from helpers import (
     country_fixture,
     oracle_crossings,
@@ -76,9 +77,11 @@ def test_layout_plans_pass_the_checking_constructors_unchanged():
     for plan in plans:
         checked = LayoutPlan(plan.layers, plan.edges)
         assert checked == plan and hash(checked) == hash(plan)
+        assert not hasattr(plan, "__dict__")
         assert pickle.loads(pickle.dumps(plan)) == plan
         nodes = [node for column in plan.layers for node in column]
         for value in (*nodes, *plan.edges):
+            assert not hasattr(value, "__dict__")
             twin = type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value)))
             assert twin == value and hash(twin) == hash(value)
             assert pickle.dumps(twin) == pickle.dumps(value)
@@ -335,6 +338,12 @@ def test_count_crossings_matches_the_brute_force_oracle():
 # every plan must stay the same.
 GOLDEN_CHAIN_PLANS = "b79fb68b4ca7e674d678e70c3102a78fd573d69cb35e7963b01e86f3886d91af"
 GOLDEN_WIDE_CHAIN_PLAN = "db80b2436cefe215c9d45f7d1b26602a98375a57eaea1722875aa8bd3d6587e1"
+# sha256 of render_svg of the wide plan per hide_unit_weights, recorded before
+# the layouts built nodes and edges through the column builder.
+GOLDEN_WIDE_CHAIN_PLAN_SVG = {
+    False: "4affdbdd7e734a856c8666eb4fca82aa27c053e12982067ccef478e5c38a3673",
+    True: "53873cf255f0ecfe310424bb7ffe7bb73eba7ccaeabb715f7ff1057f76347cce",
+}
 
 
 def test_chain_plans_are_pinned():
@@ -345,7 +354,11 @@ def test_chain_plans_are_pinned():
     assert digest.hexdigest() == GOLDEN_CHAIN_PLANS
     wide = MultiStepChain(random_chain(random.Random(500), 500))
     assert len(wide.steps[0].source_categories) == 500
-    assert hashlib.sha256(repr(layout_chain(wide)).encode()).hexdigest() == GOLDEN_WIDE_CHAIN_PLAN
+    plan = layout_chain(wide)
+    assert hashlib.sha256(repr(plan).encode()).hexdigest() == GOLDEN_WIDE_CHAIN_PLAN
+    for hide in (False, True):
+        digest = hashlib.sha256(render_svg(plan, hide_unit_weights=hide).encode()).hexdigest()
+        assert digest == GOLDEN_WIDE_CHAIN_PLAN_SVG[hide], hide
 
 
 # sha256 of the column labels (top to bottom) and the edges of every
@@ -577,3 +590,51 @@ def test_large_two_layer_svg_bytes_are_pinned():
         for hide in (False, True):
             svg = render_svg(layout_bipartite(crossmap, ordering), hide_unit_weights=hide)
             assert sha256(svg) == GOLDEN_LARGE_SVG[ordering.value, hide], (ordering, hide)
+
+
+# sha256 of render_svg per (ordering, hide) and of render_dot for a
+# 1 987-link map whose target column runs to row 1 319, recorded before the
+# layouts built nodes and edges through the column builder and before grid
+# texts skipped float formatting.
+GOLDEN_THOUSANDS_SVG = {
+    ("splits-first", False): "a14a313692f21f21e273f10ed7d4194d6c38e05e1bb92c0e231c0d565ea1dd90",
+    ("splits-first", True): "f520837227d880b3b0e642a2a98ba6a89beb3b9be904397c8975e8e1f1a410a6",
+    ("target-indegree", False): "b315374710766d24df691c7a7b95ad83b3b56b03717488ec469bd9e5dbe33467",
+    ("target-indegree", True): "089d52685613f7cbc852710282813b88ef0ae9f58e90aa90ca982c7bdae00c67",
+    ("input-order", False): "5ab6092f1e7e928821c602b94b96b09e5e0c10b3430791b397355a8b068bdede",
+    ("input-order", True): "0379fa097425dd9778440cc4d29d4acb3e25c7f00d5510d921b6d5c7c99b8c3b",
+}
+GOLDEN_THOUSANDS_DOT = "3d1b95e5d1128b93955741a57199e872d1e716b71de42f194a4b2a768d3be619"
+
+
+def test_two_layer_bytes_with_four_digit_rows_are_pinned():
+    crossmap = random_crossmap(random.Random(6), max_sources=1000, max_targets=3000)
+    assert (len(crossmap.links), len(crossmap.target_categories)) == (1987, 1320)
+    for ordering in NodeOrdering:
+        for hide in (False, True):
+            svg = render_svg(layout_bipartite(crossmap, ordering), hide_unit_weights=hide)
+            assert sha256(svg) == GOLDEN_THOUSANDS_SVG[ordering.value, hide], (ordering, hide)
+    assert sha256(render_dot(crossmap)) == GOLDEN_THOUSANDS_DOT
+
+
+def test_coord_skips_float_formatting_only_where_it_gives_the_same_text():
+    def two_decimals(value: float) -> str:
+        return f"{value:.2f}".rstrip("0").rstrip(".") or "0"
+
+    xs = [viz._PAD_X + column * viz._LAYER_SPACING for column in range(64)]
+    ys = [viz._PAD_Y + row * viz._NODE_SPACING for row in range(20_000)]
+    values = [
+        *xs, *(x + offset for x in xs for offset in (viz._EDGE_TRIM, -viz._EDGE_TRIM, 12.0, -12.0)),
+        *((x1 + x2) / 2 for x1, x2 in zip(xs, xs[1:])),
+        *ys, *(y + 4 for y in ys), *(y - 10 for y in ys),
+        # every row sum's weight-label y, above and below the midpoint
+        *((2 * viz._PAD_Y + rows * viz._NODE_SPACING) / 2 + offset
+          for rows in range(40_000) for offset in (-6.0, 14.0)),
+        # widths and heights
+        *(2 * viz._PAD_X + last * viz._LAYER_SPACING for last in range(-1, 64)),
+        *(2 * viz._PAD_Y + (rows - 1) * viz._NODE_SPACING for rows in range(20_000)),
+        *(viz.target_opacity(degree) for degree in range(12)),
+        viz._NODE_RADIUS, 0.0, -0.0, -10.0, 0.5, 1e20,
+    ]
+    assert [viz._coord(value) for value in values] == [two_decimals(value) for value in values]
+    assert viz._coord(-0.0) == "-0"
