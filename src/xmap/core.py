@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, NoReturn, Sequence, Union
+from typing import Iterable, Mapping, NoReturn, Union
 
 from .errors import (
     DuplicateLink,
@@ -100,19 +100,13 @@ class Link:
         # NaN fails both comparisons below, so non-finite weights land here too.
         if not (0.0 < weight <= 1.0):
             raise WeightOutOfRange(source, target, weight)
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_weight(self, weight)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.source, self.target)
-
-
-# The slot descriptors write a field without the frozen class's __setattr__.
-_set_source = Link.__dict__["source"].__set__
-_set_target = Link.__dict__["target"].__set__
-_set_weight = Link.__dict__["weight"].__set__
 
 
 def _unchecked(cls: type, count: int, *columns: Iterable) -> list:
@@ -124,13 +118,6 @@ def _unchecked(cls: type, count: int, *columns: Iterable) -> list:
     for name, column in zip(cls.__slots__, columns, strict=True):
         deque(map(cls.__dict__[name].__set__, values, column), maxlen=0)
     return values
-
-
-def _links(sources: Sequence[str], targets: Iterable[str], weights: Iterable[float]) -> list[Link]:
-    """Links built by :func:`_unchecked`, link i from the i-th item of each
-    column. Every source and target must be a label ``clean_label`` returned
-    and every weight a float in (0, 1]."""
-    return _unchecked(Link, len(sources), sources, targets, weights)
 
 
 _source_of = attrgetter("source")

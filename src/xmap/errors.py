@@ -42,7 +42,8 @@ class CrossmapError(Exception):
 
 class InvalidLabel(CrossmapError):
     """Category label is empty or contains a banned character. ``index`` is
-    the position of its entry where an ``IndexedSeries`` raises it, else None."""
+    the position of its entry or row where an ``IndexedSeries`` or a
+    ``HarmonisedPanel`` raises it, else None."""
 
     def __init__(self, text: str, reason: str):
         super().__init__(f"invalid category label {text!r}: {reason}")
@@ -85,10 +86,10 @@ class WeightSumViolation(CrossmapError):
     raises it, ``index`` is the input position of the source's last link;
     otherwise it is None."""
 
+    _message = "outgoing weights for source {source!r} sum to {total:.9g}, expected 1"
+
     def __init__(self, source: str, total: float, index: int | None = None):
-        super().__init__(
-            f"outgoing weights for source {source!r} sum to {total:.9g}, expected 1"
-        )
+        super().__init__(self._message.format(source=source, total=total))
         self.source = source
         self.total = total
         self.index = index
@@ -98,11 +99,10 @@ class CompoundedSlack(WeightSumViolation):
     """Two valid maps whose composition has a source off the weight-sum
     tolerance: each map's sums lie within it, but their slack compounds."""
 
-    def __str__(self) -> str:
-        return (
-            f"composed weights for source {self.source!r} sum to {self.total:.9g}, expected 1: "
-            "both maps are valid, but the slack of their weight sums compounds beyond the tolerance"
-        )
+    _message = (
+        "composed weights for source {source!r} sum to {total:.9g}, expected 1: "
+        "both maps are valid, but the slack of their weight sums compounds beyond the tolerance"
+    )
 
 
 class UnknownCategory(CrossmapError):
@@ -200,7 +200,7 @@ class DuplicateKey(DocumentError):
 
 
 class NonFiniteValue(DocumentError):
-    """A series value that is not finite; ``index`` as for ``InvalidLabel``."""
+    """A series or panel value that is not finite; ``index`` as for ``InvalidLabel``."""
 
     def __init__(self, label: str, value: float, index: int | None = None):
         super().__init__(f"value for {label!r} is not finite: {value!r}")

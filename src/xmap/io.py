@@ -18,7 +18,7 @@ from .core import (
     Crossmap,
     CrossmapSummary,
     Link,
-    _links,
+    _unchecked,
     _weight_of,
     build_crossmap,
     clean_label,
@@ -184,7 +184,7 @@ def _edge_links(rows: list[str]) -> list[Link]:
     sources = list(map(labels.__getitem__, sources))
     targets = list(map(labels.__getitem__, targets))
     del labels
-    return _links(sources, targets, list(map(weights.__getitem__, weight_texts)))
+    return _unchecked(Link, count, sources, targets, list(map(weights.__getitem__, weight_texts)))
 
 
 def _edge_weights(texts: Iterable[str]) -> dict[str, float] | None:
@@ -286,7 +286,8 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
         seen_sources.add(source)
         sources.append(source)
         targets.append(target)
-    return build_crossmap(from_col, to_col, _links(sources, targets, repeat(1.0)))
+    links = _unchecked(Link, len(sources), sources, targets, repeat(1.0))
+    return build_crossmap(from_col, to_col, links)
 
 
 # ── value series and panels ───────────────────────────────────────────────

@@ -21,9 +21,10 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     Crossmap,
+    Link,
     RelationKind,
     _left_to_right_sum,
-    _links,
+    _unchecked,
     _weight_of,
     classify_source,
     classify_target,
@@ -48,7 +49,7 @@ from .errors import (
 _FLOOR = sys.float_info.min  # the smallest normal float: a product below it has lost precision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedSeries:
     """A category -> numeric value association under one taxonomy.
 
@@ -74,15 +75,6 @@ class IndexedSeries:
                 raise NonFiniteValue(label, value, index)
             cleaned[label] = value
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
-
-    @classmethod
-    def _from_clean(cls, taxonomy: str, entries: dict[str, float]) -> IndexedSeries:
-        """A series over finite float values keyed by labels of a validated
-        crossmap, built with no check. ``entries`` is taken over, not copied."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "taxonomy", taxonomy)
-        object.__setattr__(series, "entries", MappingProxyType(entries))
-        return series
 
     def __reduce__(self):
         # A mappingproxy does not pickle: rebuild from a plain dict.
@@ -115,7 +107,7 @@ class MultiStepChain:
         for left, right in zip(self.steps, self.steps[1:]):
             if left.target_taxonomy != right.source_taxonomy:
                 raise TaxonomyMismatch(left.target_taxonomy, right.source_taxonomy)
-            uncovered = sorted(set(left.target_categories) - set(right.source_categories))
+            uncovered = sorted(t for t in left._in_degrees if t not in right._links_by_source)
             if uncovered:
                 raise UncoveredIntermediate(uncovered[0])
 
@@ -133,18 +125,29 @@ class PanelRow(NamedTuple):
 
 @dataclass(frozen=True)
 class HarmonisedPanel:
-    """Long-format rows (unit, key, value) under one shared target taxonomy."""
+    """Long-format rows (unit, key, value) under one shared target taxonomy.
+    Unit and key are cleaned labels and the value is finite, as in a series;
+    no (unit, key) pair repeats."""
 
     target_taxonomy: str
     rows: tuple[PanelRow, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(PanelRow(*r) for r in self.rows))
-        seen: set[tuple[str, str]] = set()
-        for row in self.rows:
-            if (row.unit, row.key) in seen:
-                raise CrossmapError(f"duplicate panel row for ({row.unit!r}, {row.key!r})")
-            seen.add((row.unit, row.key))
+        rows: dict[tuple[str, str], PanelRow] = {}
+        for index, row in enumerate(self.rows):
+            unit, key, value = PanelRow(*row)
+            try:
+                unit, key = clean_label(unit), clean_label(key)
+            except InvalidLabel as err:
+                err.index = index
+                raise
+            value = float(value)
+            if not math.isfinite(value):
+                raise NonFiniteValue(key, value, index).for_unit(unit)
+            if (unit, key) in rows:
+                raise CrossmapError(f"duplicate panel row for ({unit!r}, {key!r})")
+            rows[unit, key] = PanelRow(unit, key, value)
+        object.__setattr__(self, "rows", tuple(rows.values()))
 
 
 def apply(
@@ -170,7 +173,7 @@ def apply(
     if series.taxonomy != crossmap.source_taxonomy:
         raise TaxonomyMismatch(crossmap.source_taxonomy, series.taxonomy)
 
-    known = set(crossmap.source_categories)
+    known = crossmap._links_by_source
     unmatched = sorted(k for k in series.entries if k not in known)
     if unmatched:
         if not allow_unmatched:
@@ -202,7 +205,8 @@ def apply(
     if not all(map(math.isfinite, totals.values())):  # the inputs were finite, so a sum overflowed
         target = next(target for target, total in totals.items() if not math.isfinite(total))
         raise CrossmapError(f"value for target {target!r} overflows to {totals[target]!r}")
-    return IndexedSeries._from_clean(crossmap.target_taxonomy, totals)
+    # Unchecked: the keys are labels of validated links and every total is finite.
+    return _unchecked(IndexedSeries, 1, (crossmap.target_taxonomy,), (MappingProxyType(totals),))[0]
 
 
 def compose(a: Crossmap, b: Crossmap) -> Crossmap:
@@ -241,7 +245,8 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
                 targets.append(target)
                 shares.append(min(w, 1.0))
     try:
-        return Crossmap(a.source_taxonomy, b.target_taxonomy, _links(sources, targets, shares))
+        links = _unchecked(Link, len(sources), sources, targets, shares)
+        return Crossmap(a.source_taxonomy, b.target_taxonomy, links)
     except WeightSumViolation as err:  # both inputs are valid, so their slack compounded
         raise CompoundedSlack(err.source, err.total) from None
 
@@ -265,7 +270,9 @@ def invert(crossmap: Crossmap) -> Crossmap:
         first = next(l for l in crossmap.pair_order if l.weight != 1.0)
         raise NotBijective("non-unit-weight", first.source)
     links = crossmap.links
-    reversed_links = _links([l.target for l in links], [l.source for l in links], repeat(1.0))
+    reversed_links = _unchecked(
+        Link, len(links), [l.target for l in links], [l.source for l in links], repeat(1.0)
+    )
     return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 
 

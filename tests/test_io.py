@@ -10,6 +10,7 @@ from xmap import (
     DuplicateSourceCode,
     EmptyCell,
     EmptyCrossmap,
+    HarmonisedPanel,
     IndexedSeries,
     InvalidLabel,
     Link,
@@ -355,6 +356,11 @@ def test_write_panel():
     text = write_panel(panel)
     assert text.startswith("unit,key,value\ngdp,AUS,3\n")
     assert text.endswith("gdp,LUX,5\n")
+
+
+def test_write_panel_writes_cleaned_rows():
+    panel = HarmonisedPanel("t", [(" u ", " k ", 1.5)])
+    assert write_panel(panel) == "unit,key,value\nu,k,1.5\n"
 
 
 def test_summary_json_exact_shape():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 import math
@@ -17,6 +18,7 @@ from xmap import (
     DuplicateUnit,
     HarmonisedPanel,
     IndexedSeries,
+    InvalidLabel,
     MissingSourceMapping,
     MultiStepChain,
     NonFiniteValue,
@@ -88,6 +90,28 @@ def test_apply_country_fixture_exact():
     out = apply(country_fixture(), country_series())
     assert out.taxonomy == "new"
     assert dict(out.entries) == COUNTRY_EXPECTED
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        lambda v: v,
+        lambda v: pickle.loads(pickle.dumps(v)),
+        dataclasses.replace,
+        lambda v: dataclasses.replace(v, taxonomy="other"),
+    ],
+    ids=["same", "pickle", "replace", "replace-taxonomy"],
+)
+def test_apply_output_is_an_ordinary_series(duplicate):
+    out = apply(country_fixture(), country_series())
+    built = IndexedSeries(out.taxonomy, dict(out.entries))
+    assert not hasattr(out, "__dict__") and not hasattr(built, "__dict__")
+    twin, built_twin = duplicate(out), duplicate(built)
+    assert twin == built_twin and hash(twin) == hash(built_twin)
+    assert list(twin.entries.items()) == list(built_twin.entries.items())
+    assert pickle.dumps(twin) == pickle.dumps(built_twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.taxonomy = "other"
 
 
 def test_apply_requires_matching_taxonomy():
@@ -193,6 +217,18 @@ def test_compose_names_slack_that_compounds_beyond_the_tolerance():
         "composed weights for source 's' sum to 1.0000018, expected 1: both maps are valid, "
         "but the slack of their weight sums compounds beyond the tolerance"
     )
+
+
+def test_compounded_slack_takes_line_and_unit_tags():
+    err = CompoundedSlack("s", 1.1)
+    assert (err.source, err.total, err.index) == ("s", 1.1, None)
+    text = (
+        "composed weights for source 's' sum to 1.1, expected 1: both maps are valid, "
+        "but the slack of their weight sums compounds beyond the tolerance"
+    )
+    assert str(err) == text
+    assert str(err.for_unit("u")) == f"unit 'u': {text}"
+    assert str(CompoundedSlack("s", 1.1).at_line(3)) == f"{text} (line 3)"
 
 
 def test_compose_leaves_out_shares_that_underflow_to_zero():
@@ -305,6 +341,39 @@ def test_harmonise_tags_apply_errors_with_unit():
     with pytest.raises(MissingSourceMapping) as caught:
         harmonise([("trade", crossmap, bad)])
     assert str(caught.value).startswith("unit 'trade':")
+
+
+def test_harmonise_needs_an_input():
+    with pytest.raises(CrossmapError, match="at least one"):
+        harmonise([])
+
+
+def test_harmonised_panel_cleans_and_checks_each_row():
+    panel = HarmonisedPanel("t", [(" u ", " k ", 1), ("u", "j", 2.5)])
+    assert panel.rows == (PanelRow("u", "k", 1.0), PanelRow("u", "j", 2.5))
+    assert all(type(row) is PanelRow and type(row.value) is float for row in panel.rows)
+    with pytest.raises(InvalidLabel) as caught:
+        harmonise([("u,1", country_fixture(), country_series())])
+    assert (caught.value.text, caught.value.index) == ("u,1", 0)
+    with pytest.raises(InvalidLabel) as caught:
+        HarmonisedPanel("t", [("u", "k", 1.0), ("u", "", 2.0)])
+    assert caught.value.index == 1
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteValue) as caught:
+            HarmonisedPanel("t", [("u", "j", 1.0), ("u", " k ", value)])
+        assert str(caught.value) == f"unit 'u': value for 'k' is not finite: {value!r}"
+        assert (caught.value.unit, caught.value.index) == ("u", 1)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[("u", "k", 1.0), ("u", "k", 2.0)], [("u", "k", 1.0), (" u", "k ", 2.0)]],
+    ids=["exact", "after-trimming"],
+)
+def test_harmonised_panel_rejects_a_repeated_row(rows):
+    with pytest.raises(CrossmapError) as caught:
+        HarmonisedPanel("t", rows)
+    assert str(caught.value) == "duplicate panel row for ('u', 'k')"
 
 
 def test_mass_conserved_on_fixture():

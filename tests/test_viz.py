@@ -97,6 +97,14 @@ def test_plan_validates_permutations():
         LayoutPlan((nodes,), ())
 
 
+@pytest.mark.parametrize("text", [1.0, None, b"1"])
+def test_plan_rejects_edge_text_that_is_not_a_str(text):
+    plan = layout_bipartite(country_fixture())
+    edge = PlannedEdge((0, 0), (1, 0), 1.0, "solid", text)
+    with pytest.raises(PlanMismatch, match="is not a str"):
+        LayoutPlan(plan.layers, (edge,))
+
+
 def test_svg_marks_relation_kinds():
     crossmap = country_fixture()
     svg = render_svg(layout_bipartite(crossmap))
