@@ -13,8 +13,10 @@ so a failed write leaves the old file; a device or a FIFO is written in
 place. A stdout that cannot be written, closed early or full, is an
 error like a failed --out.
 
-Exit codes: 0 success, 1 domain or validation error, 2 unreadable or
-malformed input or an output that cannot be written, 3 usage error.
+Exit codes: 0 success, 3 usage error, 2 an input that cannot be read or an
+output that cannot be written, and for a CrossmapError the error class's
+exit_code: 1 for a domain or validation error, 2 for a DocumentError, a
+malformed input.
 
 A process pays only for its command: main() runs it with the cyclic garbage
 collector off and freezes every object before exit, so the interpreter's
@@ -35,7 +37,7 @@ from pathlib import PurePath
 from typing import NoReturn, TextIO
 
 from .core import Crossmap, summarize
-from .errors import CrossmapError, DocumentError, ParseError
+from .errors import CrossmapError, ParseError
 from .io import (
     import_crosswalk,
     read_crosswalk_table,
@@ -49,7 +51,6 @@ from .transform import apply, compose
 from .viz import NodeOrdering, layout_bipartite, render_dot, render_svg
 
 EXIT_OK = 0
-EXIT_DOMAIN = 1
 EXIT_DOCUMENT = 2
 EXIT_USAGE = 3
 
@@ -297,12 +298,12 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
             _write_stdout(out_stream, text)
     except UsageError as err:  # a flag that the other flags leave without effect
         return _report_usage_error(err, err_stream)
-    except (DocumentError, OSError) as err:
-        print(f"error: {err}", file=err_stream)
-        return EXIT_DOCUMENT
     except CrossmapError as err:
         print(f"error: {err}", file=err_stream)
-        return EXIT_DOMAIN
+        return err.exit_code
+    except OSError as err:
+        print(f"error: {err}", file=err_stream)
+        return EXIT_DOCUMENT
     finally:
         if package_log is not None:
             package_log.removeHandler(log_handler)

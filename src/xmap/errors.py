@@ -1,9 +1,10 @@
 """Exception hierarchy for the crossmap toolkit.
 
 Every failure names the offending category, pair, or line so the user can
-repair the edge list. ``DocumentError`` and its subclasses cover text-format
-problems (CLI exit code 2); all other ``CrossmapError`` subclasses are
-domain/validation failures (CLI exit code 1).
+repair the edge list. Each class lists its fields in ``_fields``, formats its
+message from them with ``_message`` and carries the CLI ``exit_code``: 2 for
+``DocumentError`` and its subclasses (text-format problems), 1 for all other
+domain/validation failures. The fields are the ``args``, so errors pickle.
 """
 
 from __future__ import annotations
@@ -14,26 +15,47 @@ class CrossmapError(Exception):
 
     ``line`` (1-based) and ``unit`` are optional context attached by the
     parsing and harmonisation layers respectively; attaching them preserves
-    the original exception type.
+    the original exception type. ``index`` is None unless a class says when
+    it is set. A field left out of the constructor takes its class default.
     """
 
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.line: int | None = None
-        self.unit: str | None = None
+    _fields: tuple[str, ...] = ("message",)
+    _message = "{message}"
+    exit_code = 1
+    line: int | None = None
+    unit: str | None = None
+    index: int | None = None
+
+    def __init__(self, *values: object, **named: object) -> None:
+        names, cls = self._fields, type(self)
+        given = dict(zip(names, values), **named)
+        missing = [name for name in names if name not in given and not hasattr(cls, name)]
+        if missing or len(given) < len(values) + len(named) or not given.keys() <= set(names):
+            raise TypeError(f"{cls.__name__} takes ({', '.join(names)})")
+        # BaseException.__reduce__ rebuilds an error as cls(*args) and then
+        # restores __dict__: the fields, the tags and the formatted text.
+        super().__init__(*(given.get(name, getattr(cls, name, None)) for name in names))
+        self.__dict__.update(zip(names, self.args))
+        self._text = self._format()
+
+    def _format(self) -> str:
+        return self._message.format_map(self.__dict__)
+
+    def __str__(self) -> str:
+        return self._text
 
     def at_line(self, line: int) -> "CrossmapError":
         """Attach a 1-based line number to this error."""
         if self.line is None:
             self.line = line
-            self.args = (f"{self.args[0]} (line {line})",)
+            self._text = f"{self._text} (line {line})"
         return self
 
     def for_unit(self, unit: str) -> "CrossmapError":
         """Tag this error with the observational unit it occurred in."""
         if self.unit is None:
             self.unit = unit
-            self.args = (f"unit {unit!r}: {self.args[0]}",)
+            self._text = f"unit {unit!r}: {self._text}"
         return self
 
 
@@ -45,16 +67,13 @@ class InvalidLabel(CrossmapError):
     the position of its entry or row where an ``IndexedSeries`` or a
     ``HarmonisedPanel`` raises it, else None."""
 
-    def __init__(self, text: str, reason: str):
-        super().__init__(f"invalid category label {text!r}: {reason}")
-        self.text = text
-        self.reason = reason
-        self.index: int | None = None
+    _fields = ("text", "reason")
+    _message = "invalid category label {text!r}: {reason}"
 
 
 class EmptyCrossmap(CrossmapError):
-    def __init__(self) -> None:
-        super().__init__("crossmap has no links; a mapping with no links transforms nothing")
+    _fields = ()
+    _message = "crossmap has no links; a mapping with no links transforms nothing"
 
 
 class DuplicateLink(CrossmapError):
@@ -62,22 +81,16 @@ class DuplicateLink(CrossmapError):
     raises it, ``index`` is the input position of the pair's second link;
     otherwise it is None."""
 
-    def __init__(self, source: str, target: str, index: int | None = None):
-        super().__init__(f"duplicate link {source!r} -> {target!r}")
-        self.source = source
-        self.target = target
-        self.index = index
+    _fields = ("source", "target", "index")
+    _message = "duplicate link {source!r} -> {target!r}"
 
 
 class WeightOutOfRange(CrossmapError):
-    def __init__(self, source: str, target: str, weight: float):
-        super().__init__(
-            f"link {source!r} -> {target!r} has weight {weight!r}; "
-            "weights must satisfy 0 < weight <= 1 (omit the link for zero)"
-        )
-        self.source = source
-        self.target = target
-        self.weight = weight
+    _fields = ("source", "target", "weight")
+    _message = (
+        "link {source!r} -> {target!r} has weight {weight!r}; "
+        "weights must satisfy 0 < weight <= 1 (omit the link for zero)"
+    )
 
 
 class WeightSumViolation(CrossmapError):
@@ -86,13 +99,8 @@ class WeightSumViolation(CrossmapError):
     raises it, ``index`` is the input position of the source's last link;
     otherwise it is None."""
 
+    _fields = ("source", "total", "index")
     _message = "outgoing weights for source {source!r} sum to {total:.9g}, expected 1"
-
-    def __init__(self, source: str, total: float, index: int | None = None):
-        super().__init__(self._message.format(source=source, total=total))
-        self.source = source
-        self.total = total
-        self.index = index
 
 
 class CompoundedSlack(WeightSumViolation):
@@ -106,10 +114,8 @@ class CompoundedSlack(WeightSumViolation):
 
 
 class UnknownCategory(CrossmapError):
-    def __init__(self, label: str, side: str):
-        super().__init__(f"{label!r} is not a {side} category of this crossmap")
-        self.label = label
-        self.side = side
+    _fields = ("label", "side")
+    _message = "{label!r} is not a {side} category of this crossmap"
 
 
 # ── transformation ────────────────────────────────────────────────────────
@@ -120,63 +126,57 @@ class TaxonomyMismatch(CrossmapError):
     not its crossmap's source taxonomy, or a chain step whose source taxonomy
     is not the target taxonomy of the step before."""
 
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"expected source taxonomy {expected!r}, got {got!r}")
-        self.expected = expected
-        self.got = got
+    _fields = ("expected", "got")
+    _message = "expected source taxonomy {expected!r}, got {got!r}"
 
 
 class MissingSourceMapping(CrossmapError):
-    """A data category has no outgoing link; its mass would silently vanish."""
+    """A data category has no outgoing link; its mass would silently vanish.
+    ``extra`` counts the other unmatched categories."""
 
-    def __init__(self, label: str, extra: int = 0):
-        more = f" (and {extra} more)" if extra else ""
-        super().__init__(f"data category {label!r} has no outgoing link{more}")
-        self.label = label
+    _fields = ("label", "extra")
+    extra = 0
+
+    def _format(self) -> str:
+        more = f" (and {self.extra} more)" if self.extra else ""
+        return f"data category {self.label!r} has no outgoing link{more}"
 
 
 class MassUnderflow(CrossmapError):
     """A nonzero value times a split weight falls below the smallest normal
     float, so part or all of the mass sent along the link would be lost."""
 
-    def __init__(self, source: str, target: str):
-        super().__init__(
-            f"the share of {source!r} sent to {target!r} underflows the smallest normal float; "
-            "its mass would be lost"
-        )
-        self.source = source
-        self.target = target
+    _fields = ("source", "target")
+    _message = (
+        "the share of {source!r} sent to {target!r} underflows the smallest normal float; "
+        "its mass would be lost"
+    )
 
 
 class UncoveredIntermediate(CrossmapError):
     """An intermediate category is not carried forward; mass through it would be lost."""
 
-    def __init__(self, label: str):
-        super().__init__(f"intermediate category {label!r} is not a source of the next step")
-        self.label = label
+    _fields = ("label",)
+    _message = "intermediate category {label!r} is not a source of the next step"
 
 
 class NotBijective(CrossmapError):
-    def __init__(self, reason: str, label: str):
-        super().__init__(f"crossmap is not invertible: {label!r} is a {reason} node")
-        self.reason = reason
-        self.label = label
+    _fields = ("reason", "label")
+    _message = "crossmap is not invertible: {label!r} is a {reason} node"
 
 
 class TargetTaxonomyMismatch(CrossmapError):
-    def __init__(self, unit: str, expected: str, got: str):
-        super().__init__(
-            f"unit {unit!r} maps into taxonomy {got!r}, but the panel target is {expected!r}"
-        )
-        self.unit = unit
-        self.expected = expected
-        self.got = got
+    """Its ``unit`` field is the unit tag, so ``for_unit`` leaves it unchanged."""
+
+    _fields = ("unit", "expected", "got")
+    _message = "unit {unit!r} maps into taxonomy {got!r}, but the panel target is {expected!r}"
 
 
 class DuplicateUnit(CrossmapError):
-    def __init__(self, unit: str):
-        super().__init__(f"duplicate unit name {unit!r}")
-        self.unit = unit
+    """Its ``unit`` field is the unit tag, so ``for_unit`` leaves it unchanged."""
+
+    _fields = ("unit",)
+    _message = "duplicate unit name {unit!r}"
 
 
 # ── text documents ────────────────────────────────────────────────────────
@@ -185,54 +185,50 @@ class DuplicateUnit(CrossmapError):
 class DocumentError(CrossmapError):
     """Base class for malformed input documents (CLI exit code 2)."""
 
+    exit_code = 2
+
 
 class ParseError(DocumentError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"parse error: {reason}")
-        self.at_line(line)
-        self.reason = reason
+    """Its ``line`` field is the line tag, so ``at_line`` leaves it unchanged."""
+
+    _fields = ("line", "reason")
+    _message = "parse error: {reason} (line {line})"
 
 
 class DuplicateKey(DocumentError):
-    def __init__(self, label: str):
-        super().__init__(f"duplicate key {label!r}")
-        self.label = label
+    _fields = ("label",)
+    _message = "duplicate key {label!r}"
 
 
 class NonFiniteValue(DocumentError):
     """A series or panel value that is not finite; ``index`` as for ``InvalidLabel``."""
 
-    def __init__(self, label: str, value: float, index: int | None = None):
-        super().__init__(f"value for {label!r} is not finite: {value!r}")
-        self.label = label
-        self.value = value
-        self.index = index
+    _fields = ("label", "value", "index")
+    _message = "value for {label!r} is not finite: {value!r}"
 
 
 class MissingColumn(DocumentError):
-    def __init__(self, name: str, available: tuple[str, ...]):
-        super().__init__(f"column {name!r} not found; columns are {list(available)}")
-        self.name = name
-        self.available = available
+    _fields = ("name", "available")
+
+    def _format(self) -> str:
+        return f"column {self.name!r} not found; columns are {list(self.available)}"
 
 
 class DuplicateSourceCode(DocumentError):
-    def __init__(self, label: str):
-        super().__init__(f"source code {label!r} appears more than once in the from-column")
-        self.label = label
+    _fields = ("label",)
+    _message = "source code {label!r} appears more than once in the from-column"
 
 
 class EmptyCell(DocumentError):
-    def __init__(self, line: int, column: str):
-        super().__init__(f"empty cell in column {column!r}")
-        self.at_line(line)
-        self.column = column
+    """Its ``line`` field is the line tag, so ``at_line`` leaves it unchanged."""
+
+    _fields = ("line", "column")
+    _message = "empty cell in column {column!r} (line {line})"
 
 
 # ── rendering ─────────────────────────────────────────────────────────────
 
 
 class PlanMismatch(CrossmapError):
-    def __init__(self, detail: str):
-        super().__init__(f"inconsistent layout plan: {detail}")
-        self.detail = detail
+    _fields = ("detail",)
+    _message = "inconsistent layout plan: {detail}"
