@@ -64,8 +64,9 @@ class CrossmapError(Exception):
 
 class InvalidLabel(CrossmapError):
     """Category label is empty or contains a banned character. ``index`` is
-    the position of its entry or row where an ``IndexedSeries`` or a
-    ``HarmonisedPanel`` raises it, else None."""
+    the position of its entry or row where an ``IndexedSeries``, a
+    ``HarmonisedPanel`` or, for a unit name, ``harmonise`` raises it, else
+    None."""
 
     _fields = ("text", "reason")
     _message = "invalid category label {text!r}: {reason}"
@@ -153,6 +154,13 @@ class MassUnderflow(CrossmapError):
     )
 
 
+class MassOverflow(CrossmapError):
+    """A target whose weighted sum of finite values overflows to ``total``."""
+
+    _fields = ("target", "total")
+    _message = "value for target {target!r} overflows to {total!r}"
+
+
 class UncoveredIntermediate(CrossmapError):
     """An intermediate category is not carried forward; mass through it would be lost."""
 
@@ -177,6 +185,15 @@ class DuplicateUnit(CrossmapError):
 
     _fields = ("unit",)
     _message = "duplicate unit name {unit!r}"
+
+
+class DuplicatePanelRow(CrossmapError):
+    """A (unit, key) pair that repeats in a ``HarmonisedPanel``, once cleaned;
+    ``index`` is the position of the second row. Its ``unit`` field is the
+    unit tag, so ``for_unit`` leaves it unchanged."""
+
+    _fields = ("unit", "key", "index")
+    _message = "duplicate panel row for ({unit!r}, {key!r})"
 
 
 # ── text documents ────────────────────────────────────────────────────────

@@ -34,8 +34,10 @@ from .errors import (
     CompoundedSlack,
     CrossmapError,
     DuplicateKey,
+    DuplicatePanelRow,
     DuplicateUnit,
     InvalidLabel,
+    MassOverflow,
     MassUnderflow,
     MissingSourceMapping,
     NonFiniteValue,
@@ -145,7 +147,7 @@ class HarmonisedPanel:
             if not math.isfinite(value):
                 raise NonFiniteValue(key, value, index).for_unit(unit)
             if (unit, key) in rows:
-                raise CrossmapError(f"duplicate panel row for ({unit!r}, {key!r})")
+                raise DuplicatePanelRow(unit, key, index)
             rows[unit, key] = PanelRow(unit, key, value)
         object.__setattr__(self, "rows", tuple(rows.values()))
 
@@ -167,8 +169,8 @@ def apply(
     a warning is logged -- silent mass loss is the worst failure mode here.
     A nonzero value whose product with a weight other than 1 falls below the
     smallest normal float would lose mass in the result, so it raises
-    ``MassUnderflow`` naming the link; a weighted sum that overflows raises a
-    ``CrossmapError`` naming the target.
+    ``MassUnderflow`` naming the link; a weighted sum that overflows raises
+    ``MassOverflow`` naming the target.
     """
     if series.taxonomy != crossmap.source_taxonomy:
         raise TaxonomyMismatch(crossmap.source_taxonomy, series.taxonomy)
@@ -204,7 +206,7 @@ def apply(
         totals[link.target] += link.weight * entries.get(link.source, 0.0)
     if not all(map(math.isfinite, totals.values())):  # the inputs were finite, so a sum overflowed
         target = next(target for target, total in totals.items() if not math.isfinite(total))
-        raise CrossmapError(f"value for target {target!r} overflows to {totals[target]!r}")
+        raise MassOverflow(target, totals[target])
     # Unchecked: the keys are labels of validated links and every total is finite.
     return _unchecked(IndexedSeries, 1, (crossmap.target_taxonomy,), (MappingProxyType(totals),))[0]
 
@@ -292,9 +294,12 @@ def apply_chain(chain: MultiStepChain, series: IndexedSeries) -> IndexedSeries:
 def harmonise(inputs: Iterable[tuple[str, Crossmap, IndexedSeries]]) -> HarmonisedPanel:
     """Transform several (unit, crossmap, series) sources into one panel.
 
-    All crossmaps must share the same target taxonomy. Each series is applied
-    strictly; errors are tagged with the offending unit. Rows come out in
-    input order, then key ascending within each unit.
+    All crossmaps must share the same target taxonomy. Each unit name is
+    cleaned as a label, once, and must not repeat once cleaned; an invalid
+    one raises ``InvalidLabel`` with the ``index`` its unit's first panel row
+    would take. Each series is applied strictly; errors are tagged with the
+    offending unit. Rows come out in input order, then key ascending within
+    each unit.
     """
     items = list(inputs)
     if not items:
@@ -304,6 +309,11 @@ def harmonise(inputs: Iterable[tuple[str, Crossmap, IndexedSeries]]) -> Harmonis
     seen_units: set[str] = set()
     rows: list[PanelRow] = []
     for unit, crossmap, series in items:
+        try:
+            unit = clean_label(unit)
+        except InvalidLabel as err:
+            err.index = len(rows)
+            raise
         if unit in seen_units:
             raise DuplicateUnit(unit)
         seen_units.add(unit)

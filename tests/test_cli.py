@@ -245,7 +245,7 @@ def test_transform_overflow_is_exit_1(tmp_path):
     code, out, err = invoke("transform", "--map", str(edges), "--data", str(data))
     assert code == 1
     assert out == ""
-    assert "'t'" in err
+    assert err == "error: value for target 't' overflows to inf\n"
 
 
 def test_transform_underflow_is_exit_1(tmp_path):

@@ -42,7 +42,7 @@ def test_clean_label_rejects(bad):
         clean_label(bad)
 
 
-@pytest.mark.parametrize("weight", [0.0, -0.1, 1.0000001, 2.0, math.nan])
+@pytest.mark.parametrize("weight", [0.0, -0.1, 1.00000005, 1.0000001, 2.0, math.nan])
 def test_link_rejects_bad_weights(weight):
     with pytest.raises(WeightOutOfRange):
         Link("a", "b", weight)

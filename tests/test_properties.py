@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pickle
+import sys
 from collections import Counter
 from xml.dom import minidom
 
@@ -195,13 +196,15 @@ def test_mass_is_conserved(data):
 
 def test_mass_is_conserved_or_refused_on_a_subnormal_value():
     # ``@example`` cannot pin a ``st.data()`` draw, so the draw that once lost
-    # all its mass (each half of 5e-324 rounds to 0.0) is pinned here.
+    # all its mass (each half of 5e-324 rounds to 0.0) is pinned here, beside
+    # 1.5 times the smallest normal float, whose halves lie in [min / 2, min).
     split = build_crossmap("alpha", "beta", [("0", "0", 0.5), ("0", "1", 0.5)])
-    tiny = IndexedSeries("alpha", {"0": 5e-324})
-    with pytest.raises(MassUnderflow) as caught:
-        apply(split, tiny)
-    assert (caught.value.source, caught.value.target) == ("0", "0")
-    check_mass_is_conserved(split, tiny)
+    for value in (5e-324, 1.5 * sys.float_info.min):
+        tiny = IndexedSeries("alpha", {"0": value})
+        with pytest.raises(MassUnderflow) as caught:
+            apply(split, tiny)
+        assert (caught.value.source, caught.value.target) == ("0", "0")
+        check_mass_is_conserved(split, tiny)
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,7 +344,7 @@ def test_validation_reports_the_defect_the_oracle_finds(data):
 # defect lands on every cell of that label half the time, so a defect on a
 # repeated text must be reported at its first row.
 _BAD_WEIGHT_TEXTS = ["", "x", "1_0", "nan", "inf", "-inf", "1e400", "\uff10.5", "0x1"]
-_OUT_OF_RANGE_TEXTS = ["0", "-0.0", "-0.5", "1.5", "1.0000001"]
+_OUT_OF_RANGE_TEXTS = ["0", "-0.0", "-0.5", "1.5", "1.0000001", "1.00000005"]
 _BAD_LABEL_CHARS = ['"', "\x01", "\x1f", "\r", "\ufffe", "\uffff", "\udc80"]
 
 

@@ -1,9 +1,13 @@
-"""The README's Python API example runs and gives the results it shows."""
+"""The README's Python API example runs and gives the results it shows, and
+its table of exit codes is every exported error class's ``exit_code``."""
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from pathlib import Path
+
+import xmap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +35,13 @@ def test_readme_python_api_block_gives_its_commented_results():
     ]
     for expression, got, shown in checked:
         assert got == shown, expression
+
+
+def test_readme_exit_code_table_gives_every_exported_error_class():
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \|$", README.read_text(encoding="utf-8"), re.MULTILINE)
+    errors = [
+        cls for cls in map(xmap.__dict__.get, xmap.__all__)
+        if isinstance(cls, type) and issubclass(cls, xmap.CrossmapError)
+    ]
+    assert len(rows) == len(dict(rows))
+    assert {name: int(code) for name, code in rows} == {cls.__name__: cls.exit_code for cls in errors}

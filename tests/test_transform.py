@@ -15,10 +15,12 @@ from xmap import (
     CrossmapError,
     DocumentError,
     DuplicateKey,
+    DuplicatePanelRow,
     DuplicateUnit,
     HarmonisedPanel,
     IndexedSeries,
     InvalidLabel,
+    MassOverflow,
     MissingSourceMapping,
     MultiStepChain,
     NonFiniteValue,
@@ -243,10 +245,11 @@ def test_compose_leaves_out_shares_that_underflow_to_zero():
 
 def test_apply_overflow_is_a_domain_error():
     merge = build_crossmap("x", "y", [("a", "t", 1.0), ("b", "t", 1.0)])
-    with pytest.raises(CrossmapError) as caught:
+    with pytest.raises(MassOverflow) as caught:
         apply(merge, IndexedSeries("x", {"a": 1e308, "b": 1e308}))
     assert not isinstance(caught.value, DocumentError)
-    assert "'t'" in str(caught.value)
+    assert (caught.value.target, caught.value.total) == ("t", math.inf)
+    assert str(caught.value) == "value for target 't' overflows to inf"
 
 
 def test_invert_bijection_round_trips():
@@ -335,6 +338,19 @@ def test_harmonise_rejects_duplicate_units_and_target_drift():
     assert "'b'" in str(caught.value)
 
 
+def test_harmonise_checks_duplicate_units_on_cleaned_names():
+    crossmap, series = country_fixture(), IndexedSeries("old", {"BLX": 1.0})
+    with pytest.raises(DuplicateUnit) as caught:
+        harmonise([("u", crossmap, series), (" u", crossmap, series)])
+    assert (str(caught.value), caught.value.unit) == ("duplicate unit name 'u'", "u")
+    with pytest.raises(MissingSourceMapping) as caught:
+        harmonise([(" u ", crossmap, IndexedSeries("old", {"ATLANTIS": 1.0}))])
+    assert caught.value.unit == "u"
+    with pytest.raises(InvalidLabel) as caught:  # index: the first row its unit would take
+        harmonise([("u", crossmap, series), ("u,1", crossmap, series)])
+    assert (caught.value.text, caught.value.index) == ("u,1", 4)
+
+
 def test_harmonise_tags_apply_errors_with_unit():
     crossmap = country_fixture()
     bad = IndexedSeries("old", {"ATLANTIS": 1.0})
@@ -371,9 +387,10 @@ def test_harmonised_panel_cleans_and_checks_each_row():
     ids=["exact", "after-trimming"],
 )
 def test_harmonised_panel_rejects_a_repeated_row(rows):
-    with pytest.raises(CrossmapError) as caught:
+    with pytest.raises(DuplicatePanelRow) as caught:
         HarmonisedPanel("t", rows)
     assert str(caught.value) == "duplicate panel row for ('u', 'k')"
+    assert (caught.value.unit, caught.value.key, caught.value.index) == ("u", "k", 1)
 
 
 def test_mass_conserved_on_fixture():
