@@ -546,3 +546,16 @@ def test_outputs_are_pinned():
             for text in texts:
                 digests[kind].update(text.encode("utf-8") + b"\0")
     assert {kind: d.hexdigest() for kind, d in digests.items()} == GOLDEN_OUTPUTS
+
+
+# sha256 of the edge list of one 12 707-link composition, recorded before
+# compose built its result from the grouped columns it computes.
+GOLDEN_LARGE_COMPOSE = "e8602842060999a3b73bb6fc08fa8fd28f2f2048307d06f16ee91b733843ce37"
+
+
+def test_large_composition_bytes_are_pinned():
+    fused = compose(*random_chain(random.Random(2000), 2000))
+    assert (len(fused.links), len(fused.source_categories), len(fused.target_categories)) == (
+        12707, 2000, 497
+    )
+    assert hashlib.sha256(write_edge_list(fused).encode("utf-8")).hexdigest() == GOLDEN_LARGE_COMPOSE
