@@ -39,6 +39,7 @@ from typing import NoReturn, TextIO
 from .core import Crossmap, summarize
 from .errors import CrossmapError, ParseError
 from .io import (
+    _write_edge_columns,
     import_crosswalk,
     read_crosswalk_table,
     read_edge_list,
@@ -47,7 +48,7 @@ from .io import (
     write_series,
     write_summary_json,
 )
-from .transform import apply, compose
+from .transform import _compose_columns, apply
 from .viz import NodeOrdering, layout_bipartite, render_dot, render_svg
 
 EXIT_OK = 0
@@ -109,7 +110,7 @@ def _cmd_compose(args: argparse.Namespace) -> str:
     # The second map is read into the first's target taxonomy: composition
     # needs matching names, and the file stem is only a provenance default.
     second = _load_map(args.second, first.target_taxonomy)
-    return write_edge_list(compose(first, second))
+    return _write_edge_columns(*_compose_columns(first, second))
 
 
 def _cmd_render(args: argparse.Namespace) -> str:

@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NoReturn, Union
 
@@ -294,6 +294,17 @@ class Crossmap:
     def is_crosswalk(self) -> bool:
         """True when every weight is exactly 1 (pure relabelling, no splits)."""
         return all(link.weight == 1.0 for link in self.links)
+
+
+def _grouped_crossmap(source_taxonomy: str, target_taxonomy: str, *columns: list) -> Crossmap:
+    """The crossmap of valid links built with no check from source, target and
+    weight ``columns``, each source's links one run in target order: its group."""
+    links = tuple(_unchecked(Link, len(columns[0]), *columns))
+    groups = _CategoryTable("source", ((s, tuple(run)) for s, run in groupby(links, _source_of)))
+    crossmap = object.__new__(Crossmap)
+    vars(crossmap).update(source_taxonomy=source_taxonomy, target_taxonomy=target_taxonomy,
+                          links=links, _links_by_source=groups)
+    return crossmap
 
 
 LinkSpec = Union[Link, tuple[str, str, float]]

@@ -18,6 +18,8 @@ from .core import (
     Crossmap,
     CrossmapSummary,
     Link,
+    _source_of,
+    _target_of,
     _unchecked,
     _weight_of,
     build_crossmap,
@@ -222,10 +224,17 @@ def _document(header: str, rows: Iterable[str]) -> str:
 def write_edge_list(crossmap: Crossmap) -> str:
     """Emit an edge-list document, rows in stored link order."""
     links = crossmap.links
-    texts = {weight: format_weight(weight) for weight in set(map(_weight_of, links))}
-    return _document(
-        EDGE_LIST_HEADER, (f"{link.source},{link.target},{texts[link.weight]}" for link in links)
+    return _write_edge_columns(
+        map(_source_of, links), map(_target_of, links), list(map(_weight_of, links))
     )
+
+
+def _write_edge_columns(sources: Iterable[str], targets: Iterable[str], weights: list) -> str:
+    """The edge-list document of source, target and weight columns, each distinct
+    weight formatted once: the writer of every edge list, ``xmap compose``'s too."""
+    texts = {weight: format_weight(weight) for weight in set(weights)}
+    rows = zip(sources, targets, map(texts.__getitem__, weights))
+    return _document(EDGE_LIST_HEADER, map(",".join, rows))
 
 
 # ── wide crosswalk tables ─────────────────────────────────────────────────

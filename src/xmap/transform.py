@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
+    WEIGHT_SUM_TOLERANCE,
     Crossmap,
-    Link,
     RelationKind,
+    _grouped_crossmap,
     _left_to_right_sum,
     _unchecked,
     _weight_of,
@@ -36,6 +36,7 @@ from .errors import (
     DuplicateKey,
     DuplicatePanelRow,
     DuplicateUnit,
+    EmptyCrossmap,
     InvalidLabel,
     MassOverflow,
     MassUnderflow,
@@ -45,7 +46,6 @@ from .errors import (
     TargetTaxonomyMismatch,
     TaxonomyMismatch,
     UncoveredIntermediate,
-    WeightSumViolation,
 )
 
 _FLOOR = sys.float_info.min  # the smallest normal float: a product below it has lost precision
@@ -221,15 +221,21 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     the product of row-stochastic maps is row-stochastic. Sums within the
     tolerance of 1 compound, though: (1 + e_a)(1 + e_b) - 1 can leave it, and
     then ``CompoundedSlack`` names the smallest such source and the total
-    ``Crossmap`` found for it. A composed share that underflows to 0.0 is
+    ``Crossmap`` forms for it. A composed share that underflows to 0.0 is
     left out, as a zero share is the absence of a link. A composed share
     above 1 is clamped to 1, so the weight stays legal: float accumulation
     overshoots by an ulp, but inputs within the tolerance e can overshoot by
     up to (1 + e)^2 - 1. Then ``apply`` of the result drops that share of
     the source's value, up to (2e + e^2) * |value|, where ``apply_chain``
     through ``a`` and ``b`` keeps it. Composed links are ordered by
-    (source, target).
+    (source, target), and wrapped as :func:`_compose_columns` checks them.
     """
+    return _grouped_crossmap(a.source_taxonomy, b.target_taxonomy, *_compose_columns(a, b))
+
+
+def _compose_columns(a: Crossmap, b: Crossmap) -> tuple[list[str], list[str], list[float]]:
+    """:func:`compose`'s links as checked source, target and share columns, each
+    source's total its shares added left to right from 0.0, as in ``Crossmap``."""
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     firsts, seconds = a._links_by_source, b._links_by_source
     sources, targets, shares = [], [], []
@@ -240,17 +246,20 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
             for second in seconds[first.target]:
                 target = second.target
                 weights[target] = weights.get(target, 0.0) + share * second.weight
+        total = 0.0
         for target in sorted(weights):
             w = weights[target]
             if w > 0.0:
+                w = w if w <= 1.0 else 1.0  # min() costs a call per link
                 sources.append(source)
                 targets.append(target)
-                shares.append(min(w, 1.0))
-    try:
-        links = _unchecked(Link, len(sources), sources, targets, shares)
-        return Crossmap(a.source_taxonomy, b.target_taxonomy, links)
-    except WeightSumViolation as err:  # both inputs are valid, so their slack compounded
-        raise CompoundedSlack(err.source, err.total) from None
+                shares.append(w)
+                total += w
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE and total:  # 0.0: no share was kept
+            raise CompoundedSlack(source, total)
+    if not sources:
+        raise EmptyCrossmap()
+    return sources, targets, shares
 
 
 def invert(crossmap: Crossmap) -> Crossmap:
@@ -271,11 +280,11 @@ def invert(crossmap: Crossmap) -> Crossmap:
         # A lone link within the sum tolerance of 1 is valid but is no crosswalk.
         first = next(l for l in crossmap.pair_order if l.weight != 1.0)
         raise NotBijective("non-unit-weight", first.source)
-    links = crossmap.links
-    reversed_links = _unchecked(
-        Link, len(links), [l.target for l in links], [l.source for l in links], repeat(1.0)
+    links = crossmap.links  # each source of the inverse has one link: a run of its own
+    return _grouped_crossmap(
+        crossmap.target_taxonomy, crossmap.source_taxonomy,
+        [l.target for l in links], [l.source for l in links], [1.0] * len(links),
     )
-    return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 
 
 def apply_chain(chain: MultiStepChain, series: IndexedSeries) -> IndexedSeries:

@@ -19,6 +19,7 @@ from xmap import (
     IndexedSeries,
     InvalidLabel,
     LayoutPlan,
+    Link,
     ParseError,
     WeightOutOfRange,
     WeightSumViolation,
@@ -283,6 +284,40 @@ def oracle_underflowing_links(
         and values.get(source, 0.0) != 0.0
         and abs(Fraction(weight) * Fraction(values[source])) < floor
     }
+
+
+def oracle_composed_links(a: Crossmap, b: Crossmap) -> tuple[Link, ...]:
+    """The links ``compose(a, b)`` describes, formed without it and before any
+    weight-sum check: sources and, within each, targets in label order, each
+    share summed over the intermediates as pair order meets them, a share of
+    0.0 left out and one above 1 clamped to 1."""
+    links: list[Link] = []
+    for source in sorted(a.source_categories):
+        shares: dict[str, float] = {}
+        for first in a.links_from(source):
+            for second in b.links_from(first.target):
+                shares[second.target] = shares.get(second.target, 0.0) + first.weight * second.weight
+        links.extend(
+            Link(source, target, min(shares[target], 1.0)) for target in sorted(shares) if shares[target]
+        )
+    return tuple(links)
+
+
+def assert_same_as_rebuilt(crossmap: Crossmap) -> None:
+    """``crossmap`` matches ``Crossmap`` rebuilt from its own links in every
+    stored and derived table, orders included."""
+    twin = Crossmap(crossmap.source_taxonomy, crossmap.target_taxonomy, crossmap.links)
+    assert crossmap == twin and hash(crossmap) == hash(twin)
+    assert type(crossmap.links) is tuple
+    for mine, theirs in ((crossmap, twin), (twin, crossmap)):
+        assert type(mine._links_by_source) is type(theirs._links_by_source)
+        assert mine._links_by_source.side == "source"
+    assert list(crossmap._links_by_source.items()) == list(twin._links_by_source.items())
+    assert crossmap.pair_order == twin.pair_order
+    assert crossmap.source_categories == twin.source_categories
+    assert crossmap.target_categories == twin.target_categories
+    assert list(crossmap._out_degrees.items()) == list(twin._out_degrees.items())
+    assert list(crossmap._in_degrees.items()) == list(twin._in_degrees.items())
 
 
 def oracle_relabel_group_sum(mapping: dict[str, str], values: dict[str, float]) -> dict[str, float]:

@@ -22,6 +22,7 @@ from xmap import (
     classify_source,
     classify_target,
     clean_label,
+    compose,
     read_edge_list,
     summarize,
 )
@@ -284,11 +285,16 @@ def _views(crossmap: Crossmap) -> tuple:
 )
 def test_values_survive_pickle_copy_and_replace(duplicate):
     crossmap = country_fixture()
-    views = _views(crossmap)  # cached before the value is duplicated
-    for value in (crossmap.links[0], crossmap):
-        twin = duplicate(value)
-        assert twin == value and hash(twin) == hash(value)
-    assert _views(duplicate(crossmap)) == views
+    # compose builds its result from grouped columns, not through the constructor.
+    merge = build_crossmap("new", "blocs", [("BEL", "EU", 1.0), ("LUX", "EU", 1.0),
+                                            ("DEU", "EU", 1.0), ("AUS", "OC", 1.0)])
+    composed = compose(crossmap, merge)
+    for mapping in (crossmap, composed):
+        views = _views(mapping)  # cached before the value is duplicated
+        for value in (mapping.links[0], mapping):
+            twin = duplicate(value)
+            assert twin == value and hash(twin) == hash(value)
+        assert _views(duplicate(mapping)) == views
     series = country_series()
     twin = duplicate(series)
     assert twin == series and dict(twin.entries) == dict(series.entries)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pickle
+import random
 import sys
 from collections import Counter
 from xml.dom import minidom
@@ -51,11 +52,14 @@ from xmap.core import clean_label, clean_labels
 from xmap.io import format_weight
 from xmap.viz import _escape, count_crossings
 from helpers import (
+    assert_same_as_rebuilt,
+    oracle_composed_links,
     oracle_crossings,
     oracle_first_defect,
     oracle_read_edge_list,
     oracle_relabel_group_sum,
     oracle_underflowing_links,
+    random_composable_pair,
 )
 
 # label characters: anything except comma, double quote, the C0 controls
@@ -479,6 +483,59 @@ def test_compose_across_the_tolerance_band_gives_a_map_or_compounded_slack(data)
         assert err.source in first.source_categories and abs(err.total - 1.0) > 1e-6
     else:
         assert_links_are_plain(composed)
+
+
+def _edge_text(crossmap: Crossmap) -> str:
+    """An edge list of the links with every weight in ``repr`` form, so it
+    reads back to the same weights, tolerance edges included."""
+    rows = "".join(f"{l.source},{l.target},{l.weight!r}\n" for l in crossmap.links)
+    return f"from,to,weight\n{rows}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_xmap_compose_writes_what_compose_builds(tmp_path_factory, data):
+    # The command writes the composition's checked columns and builds no
+    # Crossmap: it must match the API byte for byte, error line included,
+    # and the slack it names must be what Crossmap finds on the same links.
+    if data.draw(st.booleans(), label="band"):
+        first = data.draw(band_crossmaps())
+        second = data.draw(band_crossmaps(first.target_categories, ("beta", "gamma")))
+    else:
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        first, second = random_composable_pair(random.Random(seed))
+    folder = tmp_path_factory.mktemp("compose", numbered=True)
+    paths = [folder / "a.csv", folder / "b.csv"]
+    for path, crossmap in zip(paths, (first, second)):
+        path.write_text(_edge_text(crossmap), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["compose", *map(str, paths)], stdout=out, stderr=err)
+    links = oracle_composed_links(first, second)
+    try:
+        expected = Crossmap(first.source_taxonomy, second.target_taxonomy, links)
+    except WeightSumViolation as violation:
+        with pytest.raises(CompoundedSlack) as caught:
+            compose(first, second)
+        slack = caught.value
+        assert (slack.source, slack.total.hex()) == (violation.source, violation.total.hex())
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {slack}\n")
+    else:
+        composed = compose(first, second)
+        assert composed == expected
+        assert (code, out.getvalue(), err.getvalue()) == (0, write_edge_list(composed), "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_and_invert_build_ordinary_crossmaps(data):
+    # Both build their result from grouped columns, with no Crossmap check.
+    first = data.draw(crossmaps())
+    second = data.draw(crossmaps_from(first.target_categories, first.target_taxonomy))
+    assert_same_as_rebuilt(compose(first, second))
+    labels = data.draw(st.permutations(data.draw(label_lists)))
+    bijection = build_crossmap("alpha", "beta", [(label, f"{label}'", 1.0) for label in labels])
+    assert_same_as_rebuilt(invert(bijection))
+    assert invert(invert(bijection)) == bijection
 
 
 @settings(max_examples=200, deadline=None)
