@@ -222,7 +222,7 @@ def _document(header: str, rows: Iterable[str]) -> str:
 
 
 def write_edge_list(crossmap: Crossmap) -> str:
-    """Emit an edge-list document, rows in stored link order."""
+    """Emit an edge-list document, rows in stored link order, by the one column writer."""
     links = crossmap.links
     return _write_edge_columns(
         map(_source_of, links), map(_target_of, links), list(map(_weight_of, links))
