@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NoReturn, Union
 
@@ -39,6 +39,11 @@ from .errors import (
 #: Tolerance for the per-source weight-sum check. Wide enough to admit decimal
 #: inputs like thirds (0.333333 x 3), tight enough to reject genuine errors.
 WEIGHT_SUM_TOLERANCE = 1e-6
+
+
+def _off_unit_sum(total: float) -> bool:
+    """Whether a source's weight total breaks the sum rule: the one definition."""
+    return abs(total - 1.0) > WEIGHT_SUM_TOLERANCE
 
 _BANNED_CHARS = {",": "comma", "\n": "newline", "\r": "carriage return", '"': "double quote"}
 # The named characters above, every C0 control except tab, and the rest of
@@ -211,7 +216,7 @@ class Crossmap:
                         duplicates.append((source, target))
                     target = link.target
                     total += link.weight
-            if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:  # _off_unit_sum, inline: no call per source
                 violations.append((source, total))
             groups[source] = tuple(group)
         # Only a failure looks up the input index of the link it names.
@@ -294,17 +299,6 @@ class Crossmap:
     def is_crosswalk(self) -> bool:
         """True when every weight is exactly 1 (pure relabelling, no splits)."""
         return all(link.weight == 1.0 for link in self.links)
-
-
-def _grouped_crossmap(source_taxonomy: str, target_taxonomy: str, *columns: list) -> Crossmap:
-    """The crossmap of valid links built with no check from source, target and
-    weight ``columns``, each source's links one run in target order: its group."""
-    links = tuple(_unchecked(Link, len(columns[0]), *columns))
-    groups = _CategoryTable("source", ((s, tuple(run)) for s, run in groupby(links, _source_of)))
-    crossmap = object.__new__(Crossmap)
-    vars(crossmap).update(source_taxonomy=source_taxonomy, target_taxonomy=target_taxonomy,
-                          links=links, _links_by_source=groups)
-    return crossmap
 
 
 LinkSpec = Union[Link, tuple[str, str, float]]

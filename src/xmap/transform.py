@@ -15,15 +15,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
-    WEIGHT_SUM_TOLERANCE,
     Crossmap,
+    Link,
     RelationKind,
-    _grouped_crossmap,
     _left_to_right_sum,
+    _off_unit_sum,
     _unchecked,
     _weight_of,
     classify_source,
@@ -228,9 +229,11 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
     up to (1 + e)^2 - 1. Then ``apply`` of the result drops that share of
     the source's value, up to (2e + e^2) * |value|, where ``apply_chain``
     through ``a`` and ``b`` keeps it. Composed links are ordered by
-    (source, target), and wrapped as :func:`_compose_columns` checks them.
+    (source, target): they are the columns :func:`_compose_columns` checks.
     """
-    return _grouped_crossmap(a.source_taxonomy, b.target_taxonomy, *_compose_columns(a, b))
+    sources, targets, shares = _compose_columns(a, b)
+    links = _unchecked(Link, len(sources), sources, targets, shares)
+    return Crossmap(a.source_taxonomy, b.target_taxonomy, links)
 
 
 def _compose_columns(a: Crossmap, b: Crossmap) -> tuple[list[str], list[str], list[float]]:
@@ -255,7 +258,7 @@ def _compose_columns(a: Crossmap, b: Crossmap) -> tuple[list[str], list[str], li
                 targets.append(target)
                 shares.append(w)
                 total += w
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE and total:  # 0.0: no share was kept
+        if total and _off_unit_sum(total):  # 0.0: no share was kept
             raise CompoundedSlack(source, total)
     if not sources:
         raise EmptyCrossmap()
@@ -280,11 +283,11 @@ def invert(crossmap: Crossmap) -> Crossmap:
         # A lone link within the sum tolerance of 1 is valid but is no crosswalk.
         first = next(l for l in crossmap.pair_order if l.weight != 1.0)
         raise NotBijective("non-unit-weight", first.source)
-    links = crossmap.links  # each source of the inverse has one link: a run of its own
-    return _grouped_crossmap(
-        crossmap.target_taxonomy, crossmap.source_taxonomy,
-        [l.target for l in links], [l.source for l in links], [1.0] * len(links),
+    links = crossmap.links
+    reversed_links = _unchecked(
+        Link, len(links), [l.target for l in links], [l.source for l in links], repeat(1.0)
     )
+    return Crossmap(crossmap.target_taxonomy, crossmap.source_taxonomy, reversed_links)
 
 
 def apply_chain(chain: MultiStepChain, series: IndexedSeries) -> IndexedSeries:

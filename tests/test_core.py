@@ -285,7 +285,7 @@ def _views(crossmap: Crossmap) -> tuple:
 )
 def test_values_survive_pickle_copy_and_replace(duplicate):
     crossmap = country_fixture()
-    # compose builds its result from grouped columns, not through the constructor.
+    # compose builds its result from the columns of its kernel.
     merge = build_crossmap("new", "blocs", [("BEL", "EU", 1.0), ("LUX", "EU", 1.0),
                                             ("DEU", "EU", 1.0), ("AUS", "OC", 1.0)])
     composed = compose(crossmap, merge)

@@ -527,15 +527,12 @@ def test_xmap_compose_writes_what_compose_builds(tmp_path_factory, data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_compose_and_invert_build_ordinary_crossmaps(data):
-    # Both build their result from grouped columns, with no Crossmap check.
+def test_compose_builds_an_ordinary_crossmap(data):
+    # compose wraps its kernel's checked columns: the result must be the
+    # Crossmap its own links rebuild, in every table and order.
     first = data.draw(crossmaps())
     second = data.draw(crossmaps_from(first.target_categories, first.target_taxonomy))
     assert_same_as_rebuilt(compose(first, second))
-    labels = data.draw(st.permutations(data.draw(label_lists)))
-    bijection = build_crossmap("alpha", "beta", [(label, f"{label}'", 1.0) for label in labels])
-    assert_same_as_rebuilt(invert(bijection))
-    assert invert(invert(bijection)) == bijection
 
 
 @settings(max_examples=200, deadline=None)

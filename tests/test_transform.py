@@ -549,7 +549,7 @@ def test_outputs_are_pinned():
 
 
 # sha256 of the edge list of one 12 707-link composition, recorded before
-# compose built its result from the grouped columns it computes.
+# `xmap compose` wrote the columns of compose's kernel directly.
 GOLDEN_LARGE_COMPOSE = "e8602842060999a3b73bb6fc08fa8fd28f2f2048307d06f16ee91b733843ce37"
 
 
