@@ -45,6 +45,11 @@ def _off_unit_sum(total: float) -> bool:
     """Whether a source's weight total breaks the sum rule: the one definition."""
     return abs(total - 1.0) > WEIGHT_SUM_TOLERANCE
 
+
+def _in_weight_range(weight: float) -> bool:
+    """Whether a link weight lies in (0, 1], which NaN fails: the one definition."""
+    return 0.0 < weight <= 1.0
+
 _BANNED_CHARS = {",": "comma", "\n": "newline", "\r": "carriage return", '"': "double quote"}
 # The named characters above, every C0 control except tab, and the rest of
 # what XML 1.0 cannot carry: surrogates and the non-characters U+FFFE, U+FFFF.
@@ -102,8 +107,7 @@ class Link:
     def __post_init__(self) -> None:
         source, target = clean_label(self.source), clean_label(self.target)
         weight = float(self.weight)
-        # NaN fails both comparisons below, so non-finite weights land here too.
-        if not (0.0 < weight <= 1.0):
+        if not _in_weight_range(weight):
             raise WeightOutOfRange(source, target, weight)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -18,6 +18,7 @@ from .core import (
     Crossmap,
     CrossmapSummary,
     Link,
+    _in_weight_range,
     _source_of,
     _target_of,
     _unchecked,
@@ -95,13 +96,6 @@ def _body(text: str, header: str) -> list[str]:
     return lines
 
 
-def _records(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Check the header line, then return an iterator of (line number,
-    fields as written) for each row, every row carrying as many fields as the
-    header names."""
-    return _rows(_body(text, header), header.count(",") + 1, f"fields ({header})")
-
-
 def _float(text: str) -> float | None:
     """``float(text)`` for number text in the form writers emit: ASCII without
     the digit-group underscores and non-ASCII digits that float() also takes.
@@ -120,18 +114,6 @@ def _number(text: str, line: int, what: str) -> float:
     if value is None:
         raise ParseError(line, f"invalid {what} {text!r}")
     return value
-
-
-class _Labels(dict):
-    """Cleaned labels keyed by the cell text they were read from, each text
-    cleaned on its first lookup. A text that fails is not stored, so every
-    lookup of it fails the same way."""
-
-    __slots__ = ()
-
-    def __missing__(self, text: str) -> str:
-        label = self[text] = clean_label(text)
-        return label
 
 
 # ── edge lists ────────────────────────────────────────────────────────────
@@ -195,7 +177,7 @@ def _edge_weights(texts: Iterable[str]) -> dict[str, float] | None:
     weights: dict[str, float] = {}
     for text in texts:
         weight = _float(text.strip())
-        if weight is None or not 0.0 < weight <= 1.0:  # NaN fails the range too
+        if weight is None or not _in_weight_range(weight):
             return None
         weights[text] = weight
     return weights
@@ -269,9 +251,11 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
 
     Each row becomes one link with weight 1; the column names become the
     taxonomy names. The from-column must map each source code once. Any
-    descriptive columns (human-readable names and the like) are dropped.
-    Each distinct code text is cleaned once per table, and the links are
-    built from the two cleaned columns with no second check.
+    descriptive columns (human-readable names and the like) are dropped
+    unchecked. The two columns' distinct code texts are cleaned in one
+    :func:`clean_labels` batch. Only a table that the batch refuses, or whose
+    from-column repeats a code, is read again row by row, so its first defect
+    is reported at its line: an empty cell, then a label, then a repeat.
     """
     for name in (from_col, to_col):
         if name not in doc.columns:
@@ -279,24 +263,28 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     from_idx = doc.columns.index(from_col)
     to_idx = doc.columns.index(to_col)
 
-    labels = _Labels()
-    sources, targets = [], []
+    sources = [row[from_idx] for row in doc.rows]
+    targets = [row[to_idx] for row in doc.rows]
+    labels = clean_labels({*sources, *targets})
+    if labels is not None:
+        sources = list(map(labels.__getitem__, sources))
+        if len(set(sources)) == len(sources):
+            links = _unchecked(Link, len(sources), sources, map(labels.__getitem__, targets), repeat(1.0))
+            return build_crossmap(from_col, to_col, links)
+
     seen_sources: set[str] = set()
     for number, row in enumerate(doc.rows, start=2):
         for idx, name in ((from_idx, from_col), (to_idx, to_col)):
             if not row[idx].strip():
                 raise EmptyCell(number, name)
         try:
-            source, target = labels[row[from_idx]], labels[row[to_idx]]
+            source, _ = clean_label(row[from_idx]), clean_label(row[to_idx])
         except CrossmapError as err:
             raise err.at_line(number)
         if source in seen_sources:
             raise DuplicateSourceCode(source).at_line(number)
         seen_sources.add(source)
-        sources.append(source)
-        targets.append(target)
-    links = _unchecked(Link, len(sources), sources, targets, repeat(1.0))
-    return build_crossmap(from_col, to_col, links)
+    raise AssertionError("the batch refused a table that every row check passes")
 
 
 # ── value series and panels ───────────────────────────────────────────────
@@ -310,7 +298,7 @@ def read_series(text: str, taxonomy: str) -> IndexedSeries:
     :class:`IndexedSeries`, and their errors get the key's line attached.
     """
     entries: dict[str, float] = {}
-    for number, cells in _records(text, SERIES_HEADER):
+    for number, cells in _rows(_body(text, SERIES_HEADER), 2, f"fields ({SERIES_HEADER})"):
         key, raw_value = cells[0].strip(), cells[1].strip()
         if key in entries:
             raise DuplicateKey(key).at_line(number)

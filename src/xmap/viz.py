@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cache
 from itertools import chain, pairwise, repeat
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Crossmap, RelationKind, _source_of, _target_of, _unchecked, _weight_of, clean_label
 from .errors import InvalidLabel, PlanMismatch
@@ -143,15 +143,6 @@ def _rows(order: Sequence[str]) -> dict[str, int]:
     return {label: row for row, label in enumerate(order)}
 
 
-def _sources_into(step: Crossmap) -> dict[str, list[str]]:
-    """Each target of ``step`` with its sources in pair order, from one walk
-    of ``pair_order``."""
-    into: dict[str, list[str]] = {target: [] for target in step._in_degrees}
-    for link in step.pair_order:
-        into[link.target].append(link.source)
-    return into
-
-
 def _edge_look(step: Crossmap) -> tuple[dict[str, str], dict[float, str]]:
     """How the edges of ``step`` are drawn, in SVG and DOT alike: the line
     style leaving each source (DASHED from a split) and each weight's text."""
@@ -215,8 +206,8 @@ def layout_bipartite(
     their connected source rows, ties by label. target-indegree: targets by
     in-degree descending then label; sources by barycenter, ties by label.
     input-order: both columns in first-appearance order. Barycenters come
-    from one ``_sweep`` and kinds and edges from ``_place``, as in
-    :func:`layout_chain`.
+    from one ``_sweep`` over the crossmap's cached links by target or by
+    source, and kinds and edges from ``_place``, as in :func:`layout_chain`.
     """
     sources = list(crossmap.source_categories)
     targets = list(crossmap.target_categories)
@@ -225,12 +216,12 @@ def layout_bipartite(
         not_split = {s: kind is not RelationKind.SPLIT for s, kind in crossmap._source_kinds.items()}
         sources.sort(key=not_split.__getitem__)
         targets.sort()
-        _sweep(targets, sources, _sources_into(crossmap))
+        _sweep(targets, sources, crossmap._links_by_target, _source_of)
     elif ordering is NodeOrdering.TARGET_INDEGREE:
         targets.sort()
         targets.sort(key=crossmap._in_degrees.__getitem__, reverse=True)  # stable: ties stay by label
         sources.sort()
-        _sweep(sources, targets, {h: [l.target for l in crossmap.links_from(h)] for h in sources})
+        _sweep(sources, targets, crossmap._links_by_source, _target_of)
     # INPUT_ORDER keeps first-appearance order on both columns.
 
     return _place((crossmap,), (sources, targets))
@@ -272,12 +263,13 @@ def _inversions(spans: list[tuple[int, int]], rows: int) -> int:
     return total
 
 
-def _sweep(order: list[str], neighbour_order: list[str], neighbours: dict[str, list[str]]) -> None:
-    """Sort ``order`` in place by the mean row of each label's neighbours in
-    ``neighbour_order``; a label without neighbours keys on its current row."""
+def _sweep(order: list[str], neighbour_order: list[str], groups: dict, end: Callable) -> None:
+    """Sort ``order`` in place by the mean row in ``neighbour_order`` of the
+    ``end`` of each label's links in ``groups``, a crossmap's cached links by
+    source or by target; a label without links keys on its current row."""
     row_of = _rows(neighbour_order).__getitem__
     key = {label: float(row) for row, label in enumerate(order)}
-    key.update((label, sum(map(row_of, near)) / len(near)) for label, near in neighbours.items())
+    key.update((label, sum(map(row_of, map(end, links))) / len(links)) for label, links in groups.items())
     order.sort(key=key.__getitem__)
 
 
@@ -287,7 +279,8 @@ def layout_chain(chain: MultiStepChain) -> LayoutPlan:
     Runs four iterations of a left-to-right then a right-to-left barycenter
     sweep, keeping the best ordering seen (the initial first-appearance ordering
     included), so the final crossing count never exceeds the input order's.
-    Kinds and edges come from ``_place``, as in :func:`layout_bipartite`.
+    Sweeps read each step's cached links by target or by source. Kinds and
+    edges come from ``_place``, as in :func:`layout_bipartite`.
     """
     steps = chain.steps
 
@@ -297,16 +290,13 @@ def layout_chain(chain: MultiStepChain) -> LayoutPlan:
         onward = steps[index + 1].source_categories if index + 1 < len(steps) else ()
         orders.append(list(dict.fromkeys(step.target_categories + onward)))
 
-    into = [_sources_into(s) for s in steps]
-    out_of = [{h: [l.target for l in s.links_from(h)] for h in s.source_categories} for s in steps]
-
     best_orders = [list(order) for order in orders]
     best_crossings = count_crossings(orders, steps)
     for _ in range(_SWEEPS):
         for j in range(1, len(orders)):
-            _sweep(orders[j], orders[j - 1], into[j - 1])
+            _sweep(orders[j], orders[j - 1], steps[j - 1]._links_by_target, _source_of)
         for j in range(len(orders) - 2, -1, -1):
-            _sweep(orders[j], orders[j + 1], out_of[j])
+            _sweep(orders[j], orders[j + 1], steps[j]._links_by_source, _target_of)
         crossings = count_crossings(orders, steps)
         if crossings < best_crossings:
             best_crossings = crossings

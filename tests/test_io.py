@@ -5,6 +5,7 @@ import json
 import pytest
 
 from xmap import (
+    CrossmapError,
     DuplicateKey,
     DuplicateLink,
     DuplicateSourceCode,
@@ -291,9 +292,17 @@ def test_import_crosswalk_empty_cell():
 def test_import_crosswalk_cleans_each_code_text_once(monkeypatch):
     import xmap.io
 
+    # Both cleaners are patched, and every text either one is given is counted.
     calls = []
-    original = xmap.io.clean_label
+    original, original_batch = xmap.io.clean_label, xmap.io.clean_labels
+
+    def counted_batch(texts):
+        texts = list(texts)
+        calls.extend(texts)
+        return original_batch(texts)
+
     monkeypatch.setattr(xmap.io, "clean_label", lambda text: calls.append(text) or original(text))
+    monkeypatch.setattr(xmap.io, "clean_labels", counted_batch)
     # BE repeats in the to-column and A sits in both; a defect on a repeated
     # code is reported at its first row.
     walk = import_crosswalk(read_crosswalk_table("a,b\nB,BE\nL,BE\nA,A\n"), "a", "b")
@@ -309,6 +318,39 @@ def test_import_crosswalk_cleans_each_code_text_once(monkeypatch):
     with pytest.raises(EmptyCell) as from_file:
         import_crosswalk(read_crosswalk_table("a,b\nx,  \n"), "a", "b")
     assert str(by_hand.value) == str(from_file.value) == "empty cell in column 'b' (line 2)"
+
+
+_QUOTED_BE = "invalid category label 'B\"E': contains a double quote character"
+
+
+@pytest.mark.parametrize(
+    ("text", "error", "message"),
+    [
+        # The first defect by line wins, whichever check the batch would fail on.
+        ('a,b\nB,B"E\nL,\n', InvalidLabel, f"{_QUOTED_BE} (line 2)"),
+        ('a,b\nB,\nL,B"E\n', EmptyCell, "empty cell in column 'b' (line 2)"),
+        # Within a row, an empty cell comes before a bad label, and a bad
+        # label before a repeated source code.
+        ('a,b\nB"E,\n', EmptyCell, "empty cell in column 'b' (line 2)"),
+        ('a,b\nB,X\nB,B"E\n', InvalidLabel, f"{_QUOTED_BE} (line 3)"),
+        (
+            "a,b\nB,X\nB,Y\n",
+            DuplicateSourceCode,
+            "source code 'B' appears more than once in the from-column (line 3)",
+        ),
+    ],
+)
+def test_import_crosswalk_reports_a_refused_tables_first_defect(text, error, message):
+    with pytest.raises(CrossmapError) as caught:
+        import_crosswalk(read_crosswalk_table(text), "a", "b")
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_import_crosswalk_never_checks_an_unselected_column():
+    text = 'a,name,b\nB,"Brunei" Darussalam,BRN\nL,Laos\x01,LAO\n'
+    walk = import_crosswalk(read_crosswalk_table(text), "a", "b")
+    assert [link.pair for link in walk.links] == [("B", "BRN"), ("L", "LAO")]
 
 
 def test_read_series():

@@ -60,6 +60,7 @@ from helpers import (
     oracle_relabel_group_sum,
     oracle_underflowing_links,
     random_composable_pair,
+    random_crossmap,
 )
 
 # label characters: anything except comma, double quote, the C0 controls
@@ -574,6 +575,23 @@ def test_pair_order_is_the_links_sorted_by_pair(data):
         assert crossmap.links_from(source) == tuple(
             link for link in crossmap.pair_order if link.source == source
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_crossmap(random.Random(seed))), band_crossmaps()
+))
+def test_links_into_groups_the_sorted_pairs_by_target(crossmap):
+    # The layouts' sweeps read these groups. The oracle sorts the pairs and
+    # groups their sources by target, with no table of the crossmap's own.
+    sources_into: dict[str, list[str]] = {}
+    for source, target in sorted(link.pair for link in crossmap.links):
+        sources_into.setdefault(target, []).append(source)
+    first_seen = list(dict.fromkeys(link.target for link in crossmap.links))
+    assert list(crossmap._links_by_target) == list(crossmap.target_categories) == first_seen
+    for target in first_seen:
+        assert [link.source for link in crossmap.links_into(target)] == sources_into[target]
+        assert all(link.target == target for link in crossmap.links_into(target))
 
 
 @settings(max_examples=200, deadline=None)
