@@ -108,14 +108,6 @@ def _float(text: str) -> float | None:
     return None
 
 
-def _number(text: str, line: int, what: str) -> float:
-    """``_float(text)``, or a ParseError naming the text."""
-    value = _float(text)
-    if value is None:
-        raise ParseError(line, f"invalid {what} {text!r}")
-    return value
-
-
 # ── edge lists ────────────────────────────────────────────────────────────
 
 
@@ -188,8 +180,8 @@ def _raise_first_row_defect(rows: Iterable[tuple[int, Sequence[str]]]) -> NoRetu
     line order, and raise the first row-local defect with its line."""
     for number, (raw_from, raw_to, raw_weight) in rows:
         stripped = raw_weight.strip()
-        weight = _number(stripped, number, "weight")
-        if not math.isfinite(weight):
+        weight = _float(stripped)
+        if weight is None or not math.isfinite(weight):
             raise ParseError(number, f"invalid weight {stripped!r}")
         try:
             Link(raw_from.strip(), raw_to.strip(), weight)
@@ -302,7 +294,10 @@ def read_series(text: str, taxonomy: str) -> IndexedSeries:
         key, raw_value = cells[0].strip(), cells[1].strip()
         if key in entries:
             raise DuplicateKey(key).at_line(number)
-        entries[key] = _number(raw_value, number, "value")
+        value = _float(raw_value)
+        if value is None:
+            raise ParseError(number, f"invalid value {raw_value!r}")
+        entries[key] = value
 
     # Every row parsed and no key repeats, so entry i sits on line i + 2.
     try:

@@ -26,7 +26,6 @@ from .core import (
     _left_to_right_sum,
     _off_unit_sum,
     _unchecked,
-    _weight_of,
     classify_source,
     classify_target,
     clean_label,
@@ -37,7 +36,6 @@ from .errors import (
     DuplicateKey,
     DuplicatePanelRow,
     DuplicateUnit,
-    EmptyCrossmap,
     InvalidLabel,
     MassOverflow,
     MassUnderflow,
@@ -50,6 +48,15 @@ from .errors import (
 )
 
 _FLOOR = sys.float_info.min  # the smallest normal float: a product below it has lost precision
+
+
+def _label(text: str, index: int) -> str:
+    """``clean_label(text)``, its ``InvalidLabel`` tagged with the entry ``index``."""
+    try:
+        return clean_label(text)
+    except InvalidLabel as err:
+        err.index = index
+        raise
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +73,7 @@ class IndexedSeries:
     def __post_init__(self) -> None:
         cleaned: dict[str, float] = {}
         for index, (key, value) in enumerate(self.entries.items()):
-            try:
-                label = clean_label(key)
-            except InvalidLabel as err:
-                err.index = index
-                raise
+            label = _label(key, index)
             if label in cleaned:
                 raise DuplicateKey(label)
             value = float(value)
@@ -126,11 +129,11 @@ class PanelRow(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HarmonisedPanel:
     """Long-format rows (unit, key, value) under one shared target taxonomy.
     Unit and key are cleaned labels and the value is finite, as in a series;
-    no (unit, key) pair repeats."""
+    no (unit, key) pair repeats. :func:`harmonise` vouches for its own panel."""
 
     target_taxonomy: str
     rows: tuple[PanelRow, ...]
@@ -139,11 +142,7 @@ class HarmonisedPanel:
         rows: dict[tuple[str, str], PanelRow] = {}
         for index, row in enumerate(self.rows):
             unit, key, value = PanelRow(*row)
-            try:
-                unit, key = clean_label(unit), clean_label(key)
-            except InvalidLabel as err:
-                err.index = index
-                raise
+            unit, key = _label(unit, index), _label(key, index)
             value = float(value)
             if not math.isfinite(value):
                 raise NonFiniteValue(key, value, index).for_unit(unit)
@@ -168,9 +167,10 @@ def apply(
     A data category with no outgoing link raises ``MissingSourceMapping``
     unless ``allow_unmatched`` is set, in which case its mass is excluded and
     a warning is logged -- silent mass loss is the worst failure mode here.
-    A nonzero value whose product with a weight other than 1 falls below the
-    smallest normal float would lose mass in the result, so it raises
-    ``MassUnderflow`` naming the link; a weighted sum that overflows raises
+    One pass adds each target's products in pair order and checks each: a
+    nonzero value whose product with a weight other than 1 falls below the
+    smallest normal float would lose mass, so it raises ``MassUnderflow``
+    naming the link; a weighted sum that overflowed then raises
     ``MassOverflow`` naming the target.
     """
     if series.taxonomy != crossmap.source_taxonomy:
@@ -192,19 +192,13 @@ def apply(
         )
 
     entries = series.entries
-    # The smallest nonzero |value| times the smallest weight bounds every
-    # product from below, so a series of normal magnitudes scans no link.
-    weakest = min(map(_weight_of, crossmap.links))
-    smallest = min(filter(None, map(abs, entries.values())), default=math.inf)
-    if weakest < 1.0 and smallest * weakest < _FLOOR:
-        for link in crossmap.pair_order:
-            value = entries.get(link.source, 0.0)
-            if value and link.weight != 1.0 and abs(link.weight * value) < _FLOOR:
-                raise MassUnderflow(link.source, link.target)
-
     totals = {target: 0.0 for target in crossmap.target_categories}
     for link in crossmap.pair_order:
-        totals[link.target] += link.weight * entries.get(link.source, 0.0)
+        value = entries.get(link.source, 0.0)
+        share = link.weight * value
+        if -_FLOOR < share < _FLOOR and value and link.weight != 1.0:
+            raise MassUnderflow(link.source, link.target)
+        totals[link.target] += share
     if not all(map(math.isfinite, totals.values())):  # the inputs were finite, so a sum overflowed
         target = next(target for target, total in totals.items() if not math.isfinite(total))
         raise MassOverflow(target, totals[target])
@@ -238,7 +232,8 @@ def compose(a: Crossmap, b: Crossmap) -> Crossmap:
 
 def _compose_columns(a: Crossmap, b: Crossmap) -> tuple[list[str], list[str], list[float]]:
     """:func:`compose`'s links as checked source, target and share columns, each
-    source's total its shares added left to right from 0.0, as in ``Crossmap``."""
+    source's total its shares added left to right from 0.0, as in ``Crossmap``.
+    Every source keeps a share, so the columns are never empty."""
     MultiStepChain((a, b))  # checks the shared taxonomy name and the coverage
     firsts, seconds = a._links_by_source, b._links_by_source
     sources, targets, shares = [], [], []
@@ -258,10 +253,8 @@ def _compose_columns(a: Crossmap, b: Crossmap) -> tuple[list[str], list[str], li
                 targets.append(target)
                 shares.append(w)
                 total += w
-        if total and _off_unit_sum(total):  # 0.0: no share was kept
+        if _off_unit_sum(total):  # valid maps keep a share >= ~1/(deg_a*deg_b): total > 0
             raise CompoundedSlack(source, total)
-    if not sources:
-        raise EmptyCrossmap()
     return sources, targets, shares
 
 
@@ -311,7 +304,8 @@ def harmonise(inputs: Iterable[tuple[str, Crossmap, IndexedSeries]]) -> Harmonis
     one raises ``InvalidLabel`` with the ``index`` its unit's first panel row
     would take. Each series is applied strictly; errors are tagged with the
     offending unit. Rows come out in input order, then key ascending within
-    each unit.
+    each unit; the panel is built unchecked from those cleaned, unique units
+    and ``apply``'s checked output.
     """
     items = list(inputs)
     if not items:
@@ -321,11 +315,7 @@ def harmonise(inputs: Iterable[tuple[str, Crossmap, IndexedSeries]]) -> Harmonis
     seen_units: set[str] = set()
     rows: list[PanelRow] = []
     for unit, crossmap, series in items:
-        try:
-            unit = clean_label(unit)
-        except InvalidLabel as err:
-            err.index = len(rows)
-            raise
+        unit = _label(unit, len(rows))
         if unit in seen_units:
             raise DuplicateUnit(unit)
         seen_units.add(unit)
@@ -337,4 +327,4 @@ def harmonise(inputs: Iterable[tuple[str, Crossmap, IndexedSeries]]) -> Harmonis
             raise err.for_unit(unit)
         for key in sorted(transformed.entries):
             rows.append(PanelRow(unit, key, transformed.entries[key]))
-    return HarmonisedPanel(target_taxonomy, tuple(rows))
+    return _unchecked(HarmonisedPanel, 1, (target_taxonomy,), (tuple(rows),))[0]

@@ -128,6 +128,31 @@ def test_read_edge_list_sum_violation_points_at_sources_last_row():
 
 
 @pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("s,t,0.99999895\n", 2),  # 1.05e-6 off
+        ("s,t,0.99999899999995\n", 2),  # 1.00000005e-6 off: a tolerance 1e-7 wider takes it
+        ("s,t,0.99999905\n", None),  # 0.95e-6 off
+        ("s,a,0.5\ns,b,0.50000105\n", 3),
+        ("s,a,0.5\ns,b,0.50000095\n", None),
+    ],
+    ids=["lone-1.05e-6-off", "lone-1.00000005e-6-off", "lone-0.95e-6-off",
+         "split-1.05e-6-off", "split-0.95e-6-off"],
+)
+def test_read_edge_list_weight_sum_tolerance_is_1e_6(rows, line):
+    # Sums just outside and just inside the tolerance, on the lone-link path
+    # and the split path: a tolerance widened or narrowed by 10%, or widened
+    # by a factor of 1 + 1e-7, reads one of these the other way.
+    text = "from,to,weight\n" + rows
+    if line is None:
+        assert read_edge_list(text, "x", "y").links_from("s")
+        return
+    with pytest.raises(WeightSumViolation) as caught:
+        read_edge_list(text, "x", "y")
+    assert (caught.value.source, caught.value.line) == ("s", line)
+
+
+@pytest.mark.parametrize(
     "rows, error, line",
     [
         # a row-local defect anywhere beats a duplicate seen earlier
@@ -242,6 +267,9 @@ def test_read_crosswalk_table_shape_errors():
         read_crosswalk_table("")
     with pytest.raises(ParseError):
         read_crosswalk_table("a,b,a\nx,y,z\n")  # duplicate column name
+    with pytest.raises(ParseError) as caught:
+        read_crosswalk_table("a,,b\n1,2,3\n")
+    assert str(caught.value) == "parse error: empty column name in header (line 1)"
     with pytest.raises(ParseError) as caught:
         read_crosswalk_table("a,b\nonly-one\n")
     assert caught.value.line == 2

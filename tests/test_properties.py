@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import html
 import io
 import json
@@ -18,6 +19,7 @@ from xmap import (
     Crossmap,
     CrossmapError,
     DuplicateLink,
+    HarmonisedPanel,
     IndexedSeries,
     InvalidLabel,
     LayoutPlan,
@@ -35,6 +37,7 @@ from xmap import (
     apply_chain,
     build_crossmap,
     compose,
+    harmonise,
     import_crosswalk,
     invert,
     layout_bipartite,
@@ -287,6 +290,24 @@ def test_series_round_trip(data):
     crossmap = data.draw(crossmaps())
     series = data.draw(series_for(crossmap))
     assert read_series(write_series(series), series.taxonomy) == series
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_harmonise_vouches_only_for_a_panel_its_constructor_accepts(data):
+    # harmonise builds its panel unchecked; the checking constructor must
+    # give the same panel back, and the slotted panel must copy and pickle.
+    crossmap = data.draw(crossmaps())
+    units = data.draw(label_lists)
+    inputs = [(unit, crossmap, data.draw(series_for(crossmap))) for unit in units]
+    try:
+        panel = harmonise(inputs)
+    except MassUnderflow:  # a drawn subnormal value, refused as in apply
+        return
+    checked = HarmonisedPanel(crossmap.target_taxonomy, panel.rows)
+    assert panel == checked and hash(panel) == hash(checked)
+    for twin in (pickle.loads(pickle.dumps(panel)), copy.copy(panel), copy.deepcopy(panel)):
+        assert twin == panel and hash(twin) == hash(panel)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import logging
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -21,6 +23,7 @@ from xmap import (
     IndexedSeries,
     InvalidLabel,
     MassOverflow,
+    MassUnderflow,
     MissingSourceMapping,
     MultiStepChain,
     NonFiniteValue,
@@ -221,6 +224,19 @@ def test_compose_names_slack_that_compounds_beyond_the_tolerance():
     )
 
 
+def test_compose_names_slack_just_beyond_the_tolerance():
+    # Each source sums to 1.000000525, inside the tolerance; the composed
+    # source sums to 1.00000105, 5% beyond it.
+    a = build_crossmap("x", "m", [("s", "m1", 0.500000525), ("s", "m2", 0.5)])
+    b = build_crossmap("m", "y", [
+        ("m1", "u1", 0.5), ("m1", "u2", 0.500000525), ("m2", "u1", 0.5), ("m2", "u2", 0.500000525)
+    ])
+    with pytest.raises(CompoundedSlack) as caught:
+        compose(a, b)
+    assert caught.value.source == "s"
+    assert str(caught.value).startswith("composed weights for source 's' sum to 1.00000105,")
+
+
 def test_compounded_slack_takes_line_and_unit_tags():
     err = CompoundedSlack("s", 1.1)
     assert (err.source, err.total, err.index) == ("s", 1.1, None)
@@ -241,6 +257,36 @@ def test_compose_leaves_out_shares_that_underflow_to_zero():
     assert [link.pair for link in fused.links] == [("A", "U"), ("A", "V"), ("B", "V")]
     assert fused.links_from("B")[0].weight == 1.0
     assert fused.links_from("A")[0].weight == 1e-200
+
+
+def test_apply_refuses_a_product_below_the_smallest_normal_float():
+    # 1.5 * min split in halves gives 0.75 * min per link, subnormal: the
+    # first link in pair order is named.
+    split = build_crossmap("x", "y", [("s", "v", 0.5), ("s", "u", 0.5)])
+    with pytest.raises(MassUnderflow) as caught:
+        apply(split, IndexedSeries("x", {"s": 1.5 * sys.float_info.min}))
+    assert (caught.value.source, caught.value.target) == ("s", "u")
+    # 2 * min split in halves gives exactly min per link, which is normal.
+    out = apply(split, IndexedSeries("x", {"s": 2 * sys.float_info.min}))
+    assert dict(out.entries) == {"v": sys.float_info.min, "u": sys.float_info.min}
+
+
+def test_apply_carries_a_subnormal_value_along_a_unit_weight():
+    # A weight of 1 moves the value as it is, so even the smallest subnormal
+    # keeps its mass, while another source splits.
+    crossmap = build_crossmap("x", "y", [("a", "t", 1.0), ("b", "u", 0.5), ("b", "v", 0.5)])
+    out = apply(crossmap, IndexedSeries("x", {"a": 5e-324, "b": 1.0}))
+    assert dict(out.entries) == {"t": 5e-324, "u": 0.5, "v": 0.5}
+
+
+def test_apply_names_underflow_before_overflow():
+    crossmap = build_crossmap(
+        "x", "y", [("a", "t", 1.0), ("b", "t", 1.0), ("c", "u", 0.5), ("c", "v", 0.5)]
+    )
+    series = IndexedSeries("x", {"a": 1e308, "b": 1e308, "c": 1.5 * sys.float_info.min})
+    with pytest.raises(MassUnderflow) as caught:
+        apply(crossmap, series)
+    assert (caught.value.source, caught.value.target) == ("c", "u")
 
 
 def test_apply_overflow_is_a_domain_error():
@@ -325,6 +371,18 @@ def test_harmonise_builds_panel_in_unit_order():
     keys = [row.key for row in panel.rows if row.unit == "pop"]
     assert keys == sorted(keys)
     assert panel.rows[0] == PanelRow("gdp", "AUS", 3.0)
+
+
+def test_harmonise_vouches_for_the_panel_its_constructor_would_build():
+    crossmap = country_fixture()
+    panel = harmonise([(" gdp ", crossmap, country_series()), ("pop", crossmap, country_series())])
+    checked = HarmonisedPanel("new", panel.rows)
+    assert panel == checked and hash(panel) == hash(checked)
+    assert all(type(row) is PanelRow for row in panel.rows)
+    assert not hasattr(panel, "__dict__")  # slotted, like the other value types
+    for twin in (pickle.loads(pickle.dumps(panel)), copy.copy(panel), copy.deepcopy(panel)):
+        assert twin == panel and hash(twin) == hash(panel)
+        assert type(twin) is HarmonisedPanel
 
 
 def test_harmonise_rejects_duplicate_units_and_target_drift():

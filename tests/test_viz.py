@@ -95,6 +95,9 @@ def test_plan_validates_permutations():
     nodes = (PlacedNode("a", 0, 0, "one-to-one"), PlacedNode("b", 0, 2, "one-to-one"))
     with pytest.raises(PlanMismatch):
         LayoutPlan((nodes,), ())
+    with pytest.raises(PlanMismatch) as caught:
+        LayoutPlan(((PlacedNode("a", 1, 0, "one-to-one"),),), ())
+    assert str(caught.value) == "inconsistent layout plan: node 'a' is misfiled in column 0"
 
 
 @pytest.mark.parametrize("text", [1.0, None, b"1"])
@@ -103,6 +106,14 @@ def test_plan_rejects_edge_text_that_is_not_a_str(text):
     edge = PlannedEdge((0, 0), (1, 0), 1.0, "solid", text)
     with pytest.raises(PlanMismatch, match="is not a str"):
         LayoutPlan(plan.layers, (edge,))
+
+
+def test_plan_rejects_edge_text_that_is_not_a_clean_label():
+    plan = layout_bipartite(country_fixture())
+    edge = PlannedEdge((0, 0), (1, 0), 0.5, "solid", " 0.5")
+    with pytest.raises(PlanMismatch) as caught:
+        LayoutPlan(plan.layers, (edge,))
+    assert str(caught.value) == "inconsistent layout plan: edge text ' 0.5' is not a clean label"
 
 
 def test_svg_marks_relation_kinds():
