@@ -3,10 +3,10 @@
 One command per invocation, no config files, no environment variables: the
 argv plus the named input files fully determine the output bytes, which go
 to stdout or, byte-identically, to the --out file. Every optional flag can
-change those bytes, so --source-name/--target-name belong to summarize
-alone, the one command that prints taxonomy names (elsewhere names are file
-stems), and render's --order and --hide-unit-weights are usage errors with
---format dot. Diagnostics go to stderr.
+change those bytes, so --source-name/--target-name belong to summarize's
+text output, the one output that prints taxonomy names (elsewhere names are
+file stems), and render's --order and --hide-unit-weights are usage errors
+with --format dot. Diagnostics go to stderr.
 
 --out naming a regular file is replaced in one rename once fully written,
 so a failed write leaves the old file; a device or a FIFO is written in
@@ -128,10 +128,13 @@ def _cmd_render(args: argparse.Namespace) -> str:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> str:
+    if args.json:  # the JSON summary carries no taxonomy names for a name flag to change
+        for flag, name in (("--source-name", args.source_name), ("--target-name", args.target_name)):
+            if name is not None:
+                args.usage_error(f"{flag} applies to text output only")
+        return write_summary_json(summarize(_load_map(args.edges))) + "\n"
     crossmap = _load_map(args.edges, args.source_name, args.target_name)
     s = summarize(crossmap)
-    if args.json:
-        return write_summary_json(s) + "\n"
     ranked = ", ".join(f"{label} ({degree})" for label, degree in s.most_synthetic_targets)
     return (
         f"taxonomies: {crossmap.source_taxonomy} -> {crossmap.target_taxonomy}\n"
@@ -199,7 +202,7 @@ def build_parser() -> _Parser:
     p.add_argument("--source-name", help="source taxonomy name (default: input file stem)")
     p.add_argument("--target-name", help="target taxonomy name (default: input file stem)")
     _add_out_flag(p)
-    p.set_defaults(handler=_cmd_summarize)
+    p.set_defaults(handler=_cmd_summarize, usage_error=p.error)
 
     p = commands.add_parser("import-crosswalk", help="turn two columns of a wide table into an edge list")
     p.add_argument("table", help="wide crosswalk CSV with a header of column names")

@@ -220,7 +220,7 @@ class Crossmap:
                         duplicates.append((source, target))
                     target = link.target
                     total += link.weight
-            if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:  # _off_unit_sum, inline: no call per source
+            if _off_unit_sum(total):
                 violations.append((source, total))
             groups[source] = tuple(group)
         # Only a failure looks up the input index of the link it names.
@@ -245,19 +245,14 @@ class Crossmap:
         return tuple(chain.from_iterable(map(groups.__getitem__, sorted(groups))))
 
     @cached_property
-    def _out_degrees(self) -> _CategoryTable:
-        groups = self._links_by_source  # first-appearance order
-        return _CategoryTable("source", zip(groups, map(len, groups.values())))
-
-    @cached_property
     def _in_degrees(self) -> _CategoryTable:
         return _CategoryTable("target", Counter(map(_target_of, self.links)))
 
     @cached_property
     def _source_kinds(self) -> _CategoryTable:
         return _CategoryTable("source", {
-            source: RelationKind.SPLIT if degree > 1 else RelationKind.ONE_TO_ONE
-            for source, degree in self._out_degrees.items()
+            source: RelationKind.SPLIT if len(group) > 1 else RelationKind.ONE_TO_ONE
+            for source, group in self._links_by_source.items()
         })
 
     @cached_property
@@ -294,7 +289,7 @@ class Crossmap:
         return self._links_by_target[target]
 
     def out_degree(self, source: str) -> int:
-        return self._out_degrees[source]
+        return len(self._links_by_source[source])
 
     def in_degree(self, target: str) -> int:
         return self._in_degrees[target]
@@ -360,15 +355,15 @@ class CrossmapSummary:
 
 
 def summarize(crossmap: Crossmap) -> CrossmapSummary:
-    """Count sources, targets, links, splits and aggregates from the cached degrees."""
-    out_degrees, in_degrees = crossmap._out_degrees, crossmap._in_degrees
+    """Count sources, targets, links, splits and aggregates from the cached tables."""
+    groups, in_degrees = crossmap._links_by_source, crossmap._in_degrees
     ranked = sorted(in_degrees.items(), key=itemgetter(0))  # by label, then
     ranked.sort(key=itemgetter(1), reverse=True)  # by in-degree, stably
     return CrossmapSummary(
-        n_sources=len(out_degrees),
+        n_sources=len(groups),
         n_targets=len(in_degrees),
         n_links=len(crossmap.links),
-        n_splits=len(out_degrees) - list(out_degrees.values()).count(1),  # every degree is >= 1
+        n_splits=len(groups) - list(map(len, groups.values())).count(1),  # every group has a link
         n_aggregates=len(in_degrees) - list(in_degrees.values()).count(1),
         max_in_degree=ranked[0][1],
         is_crosswalk=crossmap.is_crosswalk,

@@ -13,7 +13,7 @@ import pytest
 
 from xmap import write_edge_list
 from xmap.cli import build_parser, run
-from helpers import COUNTRY_EDGE_TEXT, ISO_TABLE_TEXT, random_crossmap
+from helpers import COUNTRY_EDGE_TEXT, GOLDEN_DOT, GOLDEN_SVG, ISO_TABLE_TEXT, random_crossmap, sha256
 
 SERIES_TEXT = "key,value\nBLX,10\nE.GER,5\nW.GER,7\nAUS,3\n"
 MERGE_TEXT = (
@@ -331,6 +331,71 @@ def test_import_crosswalk(tmp_path):
     assert "FIPS" in err
 
 
+class Sha256(str):
+    """An expected stdout given by the sha256 digest of its UTF-8 bytes."""
+
+
+COUNTRY_SVG = {key: Sha256(digest) for key, digest in GOLDEN_SVG["country"].items()}
+# Input texts by file name; a contract row writes the ones its argv names.
+CONTRACT_INPUTS = {
+    "country.csv": COUNTRY_EDGE_TEXT,
+    "region.csv": "from,to,weight\nBEL,EU,1\nLUX,EU,1\nDEU,EU,1\nAUS,OC,1\n",
+    "unmatched.csv": SERIES_TEXT + "ATLANTIS,1\n",
+    "iso.csv": "country,ISONumeric,ISO3\nAfghanistan,004,AFG\nAlbania, 008 ,ALB\nAlgeria,012,DZA\n",
+    "clamp-a.csv": "from,to,weight\ns,m1,0.5000009\ns,m2,0.5\n",
+    "clamp-b.csv": "from,to,weight\nm1,u,1\nm2,u,1\n",
+    "bad-label.csv": 'from,to,weight\nBLX,BEL,1\nE.GER,DE"U,1\n',
+    "bad-weight.csv": "from,to,weight\nBLX,BEL,1\nE.GER,DEU,1_0\n",
+    "bad-sum.csv": "from,to,weight\nBLX,BEL,0.5\nAUS,AUS,1\nBLX,LUX,0.4\n",
+}
+# id -> (argv, exit code, stdout, stderr), run in process. CI also runs this
+# table against the installed package.
+CONTRACT = {
+    "render": ("render country.csv", 0, COUNTRY_SVG["splits-first", False], ""),
+    "render-indegree": (
+        "render --order target-indegree country.csv", 0, COUNTRY_SVG["target-indegree", False], ""
+    ),
+    "render-indegree-hidden": (
+        "render --order target-indegree --hide-unit-weights country.csv",
+        0, COUNTRY_SVG["target-indegree", True], "",
+    ),
+    "render-dot": ("render --format dot country.csv", 0, Sha256(GOLDEN_DOT["country"]), ""),
+    "compose": (
+        "compose country.csv region.csv", 0, "from,to,weight\nAUS,OC,1\nBLX,EU,1\nE.GER,EU,1\nW.GER,EU,1\n", ""
+    ),
+    "transform-unmatched": (
+        "transform --map country.csv --data unmatched.csv --allow-unmatched",
+        0, "key,value\nAUS,3\nBEL,5\nDEU,12\nLUX,5\n",
+        "warning: excluded 1 unmatched categories (absolute mass 1): ATLANTIS\n",
+    ),
+    "import-crosswalk": (
+        "import-crosswalk iso.csv --from ISONumeric --to ISO3",
+        0, "from,to,weight\n004,AFG,1\n008,ALB,1\n012,DZA,1\n", "",
+    ),
+    "compose-clamp": ("compose clamp-a.csv clamp-b.csv", 0, "from,to,weight\ns,u,1\n", ""),
+    "bad-label": (
+        "validate bad-label.csv",
+        1, "", "error: invalid category label 'DE\"U': contains a double quote character (line 3)\n",
+    ),
+    "bad-weight": ("validate bad-weight.csv", 2, "", "error: parse error: invalid weight '1_0' (line 3)\n"),
+    "bad-sum": (
+        "validate bad-sum.csv", 1, "", "error: outgoing weights for source 'BLX' sum to 0.9, expected 1 (line 4)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", CONTRACT.values(), ids=CONTRACT)
+def test_cli_contract(argv, code, stdout, stderr, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = argv.split()
+    for name in set(argv) & set(CONTRACT_INPUTS):
+        (tmp_path / name).write_text(CONTRACT_INPUTS[name])
+    got_code, got_out, got_err = invoke(*argv)
+    if isinstance(stdout, Sha256):
+        got_out = sha256(got_out)
+    assert (got_code, got_out, got_err) == (code, stdout, stderr)
+
+
 def test_out_file_matches_stdout(table2, values, tmp_path):
     for argv in (
         ["transform", "--map", table2, "--data", values],
@@ -555,6 +620,14 @@ def test_name_flags_belong_to_summarize_alone(command, flag, table2, values):
     assert out == ""
     assert err.splitlines()[0] == f"error: unrecognized arguments: {flag} x"
     assert err.splitlines()[1].startswith("usage: ")
+
+
+@pytest.mark.parametrize("flag", ["--source-name", "--target-name"])
+def test_name_flags_are_usage_errors_with_json(flag, table2):
+    code, out, err = invoke("summarize", table2, "--json", flag, "x")
+    message, usage = err.split("\n", 1)
+    assert (code, out, message) == (3, "", f"error: {flag} applies to text output only")
+    assert usage.startswith("usage: xmap summarize ")
 
 
 @pytest.mark.parametrize(
