@@ -20,8 +20,10 @@ malformed input.
 
 A process pays only for its command: main() runs it with the cyclic garbage
 collector off and freezes every object before exit, so the interpreter's
-exit-time collections scan none of them, and logging, json and tempfile are
-imported only by transform --allow-unmatched, summarize --json and --out.
+exit-time collections scan none of them; logging, json and tempfile are
+imported only by transform --allow-unmatched, summarize --json and --out;
+and compose and render write the columns their kernels compute, with no
+Crossmap or LayoutPlan built just to print them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .io import (
     write_summary_json,
 )
 from .transform import _compose_columns, apply
-from .viz import NodeOrdering, layout_bipartite, render_dot, render_svg
+from .viz import NodeOrdering, _orders, _plan_columns, _svg, render_dot
 
 EXIT_OK = 0
 EXIT_DOCUMENT = 2
@@ -123,8 +125,9 @@ def _cmd_render(args: argparse.Namespace) -> str:
             args.usage_error("--hide-unit-weights applies to --format svg only")
         return render_dot(_load_map(args.edges))
     ordering = NodeOrdering(args.order) if args.order else NodeOrdering.SPLITS_FIRST
-    plan = layout_bipartite(_load_map(args.edges), ordering)
-    return render_svg(plan, hide_unit_weights=args.hide_unit_weights)
+    crossmap = _load_map(args.edges)
+    # render_svg(layout_bipartite(crossmap, ordering)), without building the plan.
+    return _svg(*_plan_columns((crossmap,), _orders(crossmap, ordering)), args.hide_unit_weights)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> str:

@@ -15,11 +15,12 @@ byte-identical SVG and DOT text.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain, pairwise, repeat
-from operator import attrgetter
+from itertools import chain, count, groupby, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .core import Crossmap, RelationKind, _source_of, _target_of, _unchecked, _weight_of, clean_label
@@ -29,6 +30,7 @@ from .transform import MultiStepChain
 
 SOLID = "solid"
 DASHED = "dashed"
+_DASH = ' stroke-dasharray="6,4"'
 
 _MAX_LABEL_CHARS = 24
 _PAD_X = 160.0
@@ -153,62 +155,57 @@ def _edge_look(step: Crossmap) -> tuple[dict[str, str], dict[float, str]]:
     return styles, {weight: format_weight(weight) for weight in {link.weight for link in step.links}}
 
 
-def _edges(
-    step: Crossmap, tail_at: dict[str, tuple[int, int]], head_at: dict[str, tuple[int, int]]
-) -> list[PlannedEdge]:
-    """One planned edge per link of ``step``, in pair order, between the
-    ``(column, row)`` endpoints of its source and its target."""
-    styles, texts = _edge_look(step)
-    links = step.pair_order
-    sources = list(map(_source_of, links))
-    weights = list(map(_weight_of, links))
-    return _unchecked(
-        PlannedEdge, len(links),
-        map(tail_at.__getitem__, sources), map(head_at.__getitem__, map(_target_of, links)),
-        weights, map(styles.__getitem__, sources), map(texts.__getitem__, weights),
-    )
-
-
-def _place(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> LayoutPlan:
-    """Build the plan of columns ``orders`` (top to bottom) joined by ``steps``.
+def _plan_columns(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> tuple[list, list]:
+    """The columns of the plan of ``orders`` (top to bottom) joined by ``steps``:
+    per column, its labels by row and their kind texts; per step, its edges in
+    pair order as ``(column, tail rows, head rows, weights, line styles,
+    texts)``, from ``column`` to the column right of it.
 
     The one place a node's kind is decided: its source kind in the first step
     for column 0, its target kind in the step before for later columns, where
     a source of the next step that this step never reaches is UNIQUE.
     """
-    # One (column, row) tuple per node, shared by all of its edges.
-    at = [
-        {label: (column, row) for row, label in enumerate(order)} for column, order in enumerate(orders)
-    ]
     kinds = (steps[0]._source_kinds, *(step._target_kinds for step in steps))
     text = {kind: kind.value for kind in RelationKind}
-    layers = tuple(
-        tuple(_unchecked(
-            PlacedNode, len(order), order, repeat(column, len(order)), range(len(order)),
-            map(text.__getitem__, map(column_kinds.get, order, repeat(RelationKind.UNIQUE))),
+    nodes = [
+        (order, list(map(text.__getitem__, map(column_kinds.get, order, repeat(RelationKind.UNIQUE)))))
+        for order, column_kinds in zip(orders, kinds)
+    ]
+    rows = [_rows(order).__getitem__ for order in orders]
+    edges = []
+    for column, step in enumerate(steps):
+        styles, texts = _edge_look(step)
+        links = step.pair_order
+        sources, weights = list(map(_source_of, links)), list(map(_weight_of, links))
+        edges.append((
+            column, list(map(rows[column], sources)), list(map(rows[column + 1], map(_target_of, links))),
+            weights, list(map(styles.__getitem__, sources)), list(map(texts.__getitem__, weights)),
         ))
-        for column, (order, column_kinds) in enumerate(zip(orders, kinds))
+    return nodes, edges
+
+
+def _place(steps: Sequence[Crossmap], orders: Sequence[Sequence[str]]) -> LayoutPlan:
+    """Build the plan of columns ``orders`` (top to bottom) joined by ``steps``
+    from :func:`_plan_columns`: the one place plan objects are made."""
+    nodes, edge_columns = _plan_columns(steps, orders)
+    # One (column, row) tuple per node, shared by all of its edges.
+    at = [list(zip(repeat(column), range(len(labels)))) for column, (labels, _) in enumerate(nodes)]
+    layers = tuple(
+        tuple(_unchecked(PlacedNode, len(labels), labels, repeat(column), range(len(labels)), kinds))
+        for column, (labels, kinds) in enumerate(nodes)
     )
-    edges = chain.from_iterable(_edges(step, at[gap], at[gap + 1]) for gap, step in enumerate(steps))
+    edges = chain.from_iterable(
+        _unchecked(PlannedEdge, len(weights), map(at[column].__getitem__, tails),
+                   map(at[column + 1].__getitem__, heads), weights, styles, texts)
+        for column, tails, heads, weights, styles, texts in edge_columns
+    )
     # Unchecked: labels come from validated links, coordinates from enumerate and
     # edge texts from format_weight. The tests check that LayoutPlan accepts it unchanged.
     return _unchecked(LayoutPlan, 1, (layers,), (tuple(edges),))[0]
 
 
-def layout_bipartite(
-    crossmap: Crossmap,
-    ordering: NodeOrdering = NodeOrdering.SPLITS_FIRST,
-) -> LayoutPlan:
-    """Place a crossmap on two columns under the requested ordering.
-
-    splits-first: split sources on top (stable by input order among
-    themselves), one-to-one sources below; targets follow the barycenter of
-    their connected source rows, ties by label. target-indegree: targets by
-    in-degree descending then label; sources by barycenter, ties by label.
-    input-order: both columns in first-appearance order. Barycenters come
-    from one ``_sweep`` over the crossmap's cached links by target or by
-    source, and kinds and edges from ``_place``, as in :func:`layout_chain`.
-    """
+def _orders(crossmap: Crossmap, ordering: NodeOrdering) -> tuple[list[str], list[str]]:
+    """The source and target columns of :func:`layout_bipartite`, top to bottom."""
     sources = list(crossmap.source_categories)
     targets = list(crossmap.target_categories)
     # Sorting the swept column by label first lets the stable sweep break ties by label.
@@ -223,8 +220,25 @@ def layout_bipartite(
         sources.sort()
         _sweep(sources, targets, crossmap._links_by_source, _target_of)
     # INPUT_ORDER keeps first-appearance order on both columns.
+    return sources, targets
 
-    return _place((crossmap,), (sources, targets))
+
+def layout_bipartite(
+    crossmap: Crossmap,
+    ordering: NodeOrdering = NodeOrdering.SPLITS_FIRST,
+) -> LayoutPlan:
+    """Place a crossmap on two columns under the requested ordering.
+
+    splits-first: split sources on top (stable by input order among
+    themselves), one-to-one sources below; targets follow the barycenter of
+    their connected source rows, ties by label. target-indegree: targets by
+    in-degree descending then label; sources by barycenter, ties by label.
+    input-order: both columns in first-appearance order. Barycenters come
+    from one ``_sweep`` over the crossmap's cached links by target or by
+    source (``_orders``), and kinds and edges from ``_place``, as in
+    :func:`layout_chain`; ``xmap render`` writes those columns with no plan.
+    """
+    return _place((crossmap,), _orders(crossmap, ordering))
 
 
 def count_crossings(orders: list[list[str]], steps: tuple[Crossmap, ...]) -> int:
@@ -315,6 +329,17 @@ def _coord(value: float) -> str:
     return text or "0"
 
 
+# The grid constants are integral (a test checks), so each row text is the str
+# of an int: a node's or label's y by row, a weight label's y by row sum and parity.
+_WEIGHT_Y, _WEIGHT_STEP = (int(_PAD_Y - 6), int(_PAD_Y + 14)), int(_NODE_SPACING / 2)
+
+
+def _row_texts(offset: int, rows: int) -> list[str]:
+    """``_coord(_PAD_Y + offset + row * _NODE_SPACING)`` for each of ``rows``."""
+    first, step = int(_PAD_Y) + offset, int(_NODE_SPACING)
+    return list(map(str, range(first, first + rows * step, step)))
+
+
 def _escape(text: str) -> str:
     """SVG element text: ``html.escape(text, quote=False)``, without the import."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -324,6 +349,10 @@ def target_opacity(in_degree: int) -> float:
     """Linear opacity ramp with a visible floor of 0.35, which in-degrees 0
     (a chain's onward-only sources) and 1 share, clamped at fully opaque."""
     return min(1.0, 0.35 + 0.25 * max(in_degree - 1, 0))
+
+
+_edge_fields = attrgetter("tail", "head", "weight", "line_style", "label_text")
+_label_of, _kind_of, _second = attrgetter("label"), attrgetter("style_class"), itemgetter(1)
 
 
 def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
@@ -339,51 +368,54 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     labels stagger above/below edge midpoints on alternate edges;
     ``hide_unit_weights`` leaves out the labels of weight-1 edges.
 
-    Each grid coordinate is formatted once, per column or per row, and each
-    node and edge indexes those texts by the plan's integer coordinates.
+    ``_svg``, the one SVG emitter, writes the plan's columns: each column's
+    nodes by row, each run of edges leaving one column. ``xmap render`` calls
+    it on the columns of its layout, with no plan.
     """
-    layers = plan.layers
-    last = len(layers) - 1
-    max_rows = max((len(column) for column in layers), default=0)
+    edges = []
+    for column, run in groupby(plan.edges, key=lambda edge: edge.tail[0]):
+        tails, heads, *rest = zip(*map(_edge_fields, run))
+        edges.append((column, list(map(_second, tails)), list(map(_second, heads)), *rest))
+    columns = [sorted(column, key=attrgetter("y")) for column in plan.layers]
+    nodes = [(list(map(_label_of, column)), list(map(_kind_of, column))) for column in columns]
+    return _svg(nodes, edges, hide_unit_weights)
+
+
+def _svg(nodes: Sequence[tuple[list, list]], edges: Sequence[tuple], hide_unit_weights: bool) -> str:
+    """The SVG of :func:`render_svg` from columns as :func:`_plan_columns`
+    returns them: per column, labels by row and kind texts; per run of edges
+    leaving one column, in plan order, ``(column, tail rows, head rows,
+    weights, line styles, texts)``. Texts are escaped in one pass, joined by
+    newlines, which no clean label holds."""
+    last = len(nodes) - 1
+    max_rows = max((len(labels) for labels, _ in nodes), default=0)
     width = 2 * _PAD_X + last * _LAYER_SPACING
     height = 2 * _PAD_Y + (max_rows - 1) * _NODE_SPACING
+    xs = [_PAD_X + column * _LAYER_SPACING for column in range(len(nodes))]
+    node_y = _row_texts(0, max_rows)
 
-    xs = [_PAD_X + column * _LAYER_SPACING for column in range(len(layers))]
-    ys = [_PAD_Y + row * _NODE_SPACING for row in range(max_rows)]
-    node_x = [_coord(x) for x in xs]
-    node_y = [_coord(y) for y in ys]
-    tail_x = [_coord(x + _EDGE_TRIM) for x in xs]
-    head_x = [_coord(x - _EDGE_TRIM) for x in xs]
-    mid_x = [_coord((x1 + x2) / 2) for x1, x2 in pairwise(xs)]
-    # Grid values are integer-valued floats, so y1 + y2 is exact and a weight
-    # label's y depends only on its edge's row sum: above the midpoint on even
-    # edges, below it on odd ones.
-    mid_y = (
-        cache(lambda rows: _coord((2 * _PAD_Y + rows * _NODE_SPACING) / 2 - 6.0)),
-        cache(lambda rows: _coord((2 * _PAD_Y + rows * _NODE_SPACING) / 2 + 14.0)),
-    )
-    weight_text = cache(_escape)
-
-    # Edges go first: their pass counts the in-degrees that shade the nodes.
-    in_degree = [[0] * len(column) for column in layers]
-    lines: list[str] = []
-    weight_labels: list[str] = []
-    for index, edge in enumerate(plan.edges):
-        (tail_column, tail_row), (head_column, head_row) = edge.tail, edge.head
-        in_degree[head_column][head_row] += 1
-        dashed = ' stroke-dasharray="6,4"' if edge.line_style == DASHED else ""
-        lines.append(
-            f'<line x1="{tail_x[tail_column]}" y1="{node_y[tail_row]}" '
-            f'x2="{head_x[head_column]}" y2="{node_y[head_row]}" '
-            f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{dashed}/>'
-        )
-        if hide_unit_weights and edge.weight == 1.0:
-            continue
-        weight_labels.append(
-            f'<text x="{mid_x[tail_column]}" y="{mid_y[index % 2](tail_row + head_row)}" '
-            f'text-anchor="middle" font-size="11" fill="{_LABEL_FILL}">'
-            f'{weight_text(edge.label_text)}</text>'
-        )
+    # Edges go first: their head rows count the in-degrees that shade the nodes.
+    in_degree = [Counter() for _ in nodes]
+    lines, weight_labels = [], []
+    first = 0  # plan index of the run's first edge: weight labels alternate above and below
+    for column, tails, heads, weights, styles, texts in edges:
+        in_degree[column + 1].update(heads)
+        x1, x2 = _coord(xs[column] + _EDGE_TRIM), _coord(xs[column + 1] - _EDGE_TRIM)
+        lines += [
+            f'<line x1="{x1}" y1="{node_y[tail]}" x2="{x2}" y2="{node_y[head]}" '
+            f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{_DASH if style == DASHED else ""}/>'
+            for tail, head, style in zip(tails, heads, styles)
+        ]
+        mid_x = _coord((xs[column] + xs[column + 1]) / 2)
+        weight_labels += [
+            f'<text x="{mid_x}" y="{_WEIGHT_Y[index & 1] + _WEIGHT_STEP * (tail + head)}" '
+            f'text-anchor="middle" font-size="11" fill="{_LABEL_FILL}">{text}</text>'
+            for index, tail, head, weight, text in zip(
+                count(first), tails, heads, weights, _escape("\n".join(texts)).split("\n")
+            )
+            if not (hide_unit_weights and weight == 1.0)
+        ]
+        first += len(tails)
 
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -394,38 +426,33 @@ def render_svg(plan: LayoutPlan, *, hide_unit_weights: bool = False) -> str:
     radius = _coord(_NODE_RADIUS)
     shade = cache(lambda degree: f' fill-opacity="{_coord(target_opacity(degree))}"')
     split = RelationKind.SPLIT.value
-    outer_label_y = [_coord(y + 4) for y in ys]
-    middle_label_y = [_coord(y - 10) for y in ys] if last > 1 else []
-    for index, column in enumerate(layers):
-        x = xs[index]
-        label_y = outer_label_y
-        if index == 0:
+    for column, (labels, kinds) in enumerate(nodes):
+        x, label_y, looks = xs[column], 4, repeat("")
+        if column == 0:
             fill, label_x, anchor = _SOURCE_FILL, _coord(x - 2 * _NODE_RADIUS), ' text-anchor="end"'
-        elif index < last:  # edges leave this column on the right
-            fill, label_x, anchor = _TARGET_FILL, node_x[index], ' text-anchor="middle"'
-            label_y = middle_label_y
+            looks = [' font-style="italic"' if kind == split else ' font-weight="bold"' for kind in kinds]
+        elif column < last:  # edges leave this column on the right
+            fill, label_x, anchor, label_y = _TARGET_FILL, _coord(x), ' text-anchor="middle"', -10
         else:
             fill, label_x, anchor = _TARGET_FILL, _coord(x + 2 * _NODE_RADIUS), ' text-anchor="start"'
-        for node in sorted(column, key=attrgetter("y")):
-            row, label, attrs, shading = node.y, node.label, anchor, ""
-            if index == 0:
-                attrs += ' font-style="italic"' if node.style_class == split else ' font-weight="bold"'
-            else:
-                shading = shade(in_degree[index][row])
-            title = ""
-            if len(label) > _MAX_LABEL_CHARS:
-                title = f"<title>{_escape(label)}</title>"
-                label = label[: _MAX_LABEL_CHARS - 1] + "…"
-            parts.append(
-                f'<circle cx="{node_x[index]}" cy="{node_y[row]}" r="{radius}" fill="{fill}"{shading}/>'
+        degrees = map(in_degree[column].__getitem__, range(len(labels)))
+        shading = repeat("") if column == 0 else map(shade, degrees)
+        shown = _escape("\n".join(labels)).split("\n")
+        if max(map(len, labels), default=0) > _MAX_LABEL_CHARS:
+            shown = [
+                text if len(label) <= _MAX_LABEL_CHARS
+                else f"<title>{text}</title>{_escape(label[: _MAX_LABEL_CHARS - 1])}…"
+                for label, text in zip(labels, shown)
+            ]
+        node_x = _coord(x)
+        parts += [
+            f'<circle cx="{node_x}" cy="{y}" r="{radius}" fill="{fill}"{opacity}/>\n'
+            f'<text x="{label_x}" y="{text_y}"{anchor}{look}>{label}</text>'
+            for y, opacity, text_y, look, label in zip(
+                node_y, shading, _row_texts(label_y, len(labels)), looks, shown
             )
-            parts.append(
-                f'<text x="{label_x}" y="{label_y[row]}"{attrs}>{title}{_escape(label)}</text>'
-            )
-    parts.extend(lines)
-    parts.extend(weight_labels)
-
-    parts += ["</g>", "</svg>", ""]
+        ]
+    parts += [*lines, *weight_labels, "</g>", "</svg>", ""]
     return "\n".join(parts)
 
 

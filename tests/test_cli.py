@@ -96,20 +96,16 @@ def test_transform(table2, values):
     code, out, err = invoke("transform", "--map", table2, "--data", values)
     assert code == 0
     assert out == "key,value\nAUS,3\nBEL,5\nDEU,12\nLUX,5\n"
-    assert "DEU,12" in out
     assert err == ""
 
 
-def test_transform_unmatched_key_strict_vs_allowed(table2, tmp_path):
+def test_transform_unmatched_key_is_refused_by_default(table2, tmp_path):
+    # With --allow-unmatched, the transform-unmatched contract row pins the output.
     data = tmp_path / "data.csv"
     data.write_text("key,value\nBLX,10\nATLANTIS,1\n")
     code, _, err = invoke("transform", "--map", table2, "--data", str(data))
     assert code == 1
     assert "ATLANTIS" in err
-    code, out, err = invoke("transform", "--map", table2, "--data", str(data), "--allow-unmatched")
-    assert code == 0
-    assert "BEL,5" in out
-    assert "warning:" in err and "ATLANTIS" in err
 
 
 def test_compose_bridges_taxonomy_names(table2, tmp_path):
@@ -289,20 +285,18 @@ def test_summarize_keeps_an_empty_name(table2):
     assert out.startswith("taxonomies: table2 -> \n")
 
 
-def test_render_svg_and_dot(table2):
-    code, svg, _ = invoke("render", table2)
-    assert code == 0
-    assert svg.startswith("<svg ")
-    assert svg.count("stroke-dasharray") == 2
-    code, hidden, _ = invoke("render", table2, "--hide-unit-weights")
-    assert code == 0
-    assert hidden.count(">1</text>") == 0
-    code, dot, _ = invoke("render", table2, "--format", "dot")
-    assert code == 0
-    assert dot.startswith("digraph crossmap {")
-    code, by_degree, _ = invoke("render", table2, "--order", "target-indegree")
-    assert code == 0
-    assert by_degree != svg
+@pytest.mark.parametrize("order", ["splits-first", "target-indegree", "input-order"])
+def test_render_builds_no_plan(order, table2, monkeypatch):
+    # xmap render writes its layout's columns: the contract rows pin the bytes,
+    # and no LayoutPlan, PlacedNode or PlannedEdge may be built on the way.
+    import xmap.viz
+
+    def refuse(cls, *columns):
+        raise AssertionError(f"xmap render built {cls.__name__} objects")
+
+    monkeypatch.setattr(xmap.viz, "_unchecked", refuse)
+    code, out, _ = invoke("render", table2, "--order", order, "--hide-unit-weights")
+    assert (code, out[:5]) == (0, "<svg ")
 
 
 def test_render_rejects_unknown_order(table2):
@@ -352,12 +346,20 @@ CONTRACT_INPUTS = {
 # table against the installed package.
 CONTRACT = {
     "render": ("render country.csv", 0, COUNTRY_SVG["splits-first", False], ""),
+    "render-hidden": ("render --hide-unit-weights country.csv", 0, COUNTRY_SVG["splits-first", True], ""),
     "render-indegree": (
         "render --order target-indegree country.csv", 0, COUNTRY_SVG["target-indegree", False], ""
     ),
     "render-indegree-hidden": (
         "render --order target-indegree --hide-unit-weights country.csv",
         0, COUNTRY_SVG["target-indegree", True], "",
+    ),
+    "render-input-order": (
+        "render --order input-order country.csv", 0, COUNTRY_SVG["input-order", False], ""
+    ),
+    "render-input-order-hidden": (
+        "render --order input-order --hide-unit-weights country.csv",
+        0, COUNTRY_SVG["input-order", True], "",
     ),
     "render-dot": ("render --format dot country.csv", 0, Sha256(GOLDEN_DOT["country"]), ""),
     "compose": (

@@ -727,6 +727,21 @@ def test_svg_of_any_legal_labels_parses(crossmap):
         assert minidom.parseString(svg).documentElement.tagName == "svg"
 
 
+@settings(max_examples=50, deadline=None)
+@given(crossmaps())
+def test_xmap_render_writes_what_the_api_renders(tmp_path_factory, crossmap):
+    # The command hands its layout's columns to the SVG emitter and builds no
+    # plan: every ordering and hide setting must match the API byte for byte.
+    path = tmp_path_factory.mktemp("render", numbered=True) / "map.csv"
+    path.write_text(_edge_text(crossmap), encoding="utf-8")
+    for ordering in NodeOrdering:
+        for hide in (False, True):
+            argv = ["render", str(path), "--order", ordering.value] + ["--hide-unit-weights"] * hide
+            out, err = io.StringIO(), io.StringIO()
+            expected = render_svg(layout_bipartite(crossmap, ordering), hide_unit_weights=hide)
+            assert (run(argv, stdout=out, stderr=err), out.getvalue(), err.getvalue()) == (0, expected, "")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"'"), st.characters())))
 @example("&amp; <a href=\"x\">'b'</a> &lt;")

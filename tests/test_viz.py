@@ -628,3 +628,14 @@ def test_coord_skips_float_formatting_only_where_it_gives_the_same_text():
     ]
     assert [viz._coord(value) for value in values] == [two_decimals(value) for value in values]
     assert viz._coord(-0.0) == "-0"
+
+    # Row texts skip _coord: integral grid constants let them come from int ranges.
+    for constant in (viz._PAD_X, viz._PAD_Y, viz._NODE_SPACING, viz._LAYER_SPACING):
+        assert float(constant).is_integer(), constant
+    rows = range(20_001)
+    for offset in (0, 4, -10):  # node, outer label and middle label
+        texts = [viz._coord(viz._PAD_Y + offset + row * viz._NODE_SPACING) for row in rows]
+        assert viz._row_texts(offset, len(rows)) == texts, offset
+    for parity, offset in enumerate((-6.0, 14.0)):  # weight labels by row sum
+        texts = [viz._coord((2 * viz._PAD_Y + total * viz._NODE_SPACING) / 2 + offset) for total in range(40_001)]
+        assert [str(viz._WEIGHT_Y[parity] + viz._WEIGHT_STEP * total) for total in range(40_001)] == texts
