@@ -13,10 +13,14 @@ so a failed write leaves the old file; a device or a FIFO is written in
 place. A stdout that cannot be written, closed early or full, is an
 error like a failed --out.
 
-Exit codes: 0 success, 3 usage error, 2 an input that cannot be read or an
-output that cannot be written, and for a CrossmapError the error class's
-exit_code: 1 for a domain or validation error, 2 for a DocumentError, a
-malformed input.
+Exit codes: 0 success, 3 usage error, 2 a read or a write that fails, and
+for a CrossmapError the error class's exit_code. That is 2 for a
+DocumentError, text that a reader cannot parse as its format: a bad header,
+field count or number text, an empty crosswalk cell, a repeated key or code,
+a non-finite value, a missing column, or bytes that are not UTF-8. It is 1
+for a domain or validation error, where a crossmap rule refuses what was
+read, such as an empty or bad label or a weight out of range, even when the
+error names its line.
 
 A process pays only for its command: main() runs it with the cyclic garbage
 collector off and freezes every object before exit, so the interpreter's

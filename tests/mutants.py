@@ -4,10 +4,10 @@ Each entry names a file under ``src/xmap``, a text that occurs exactly once in
 it and the text that replaces it, so that one check is weakened, shifted or
 switched off. For each mutant the script copies ``src/`` to a temporary
 directory, applies the replacement there, and runs the fast test files
-(``tests/test_{core,io,transform,cli,viz}.py``) against the copy, stopping at
-the first failure. A mutant that survives them is run against the full suite.
-An entry marked equivalent carries the reason no input can tell it from the
-original; its text is checked, but it is not run.
+(``tests/test_{core,io,transform,cli,viz,errors}.py``) against the copy,
+stopping at the first failure. A mutant that survives them is run against the
+full suite. An entry marked equivalent carries the reason no input can tell it
+from the original; its text is checked, but it is not run.
 
 Run from anywhere, with the test dependencies installed::
 
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "xmap"
-FAST = [f"tests/test_{name}.py" for name in ("core", "io", "transform", "cli", "viz")]
+FAST = [f"tests/test_{name}.py" for name in ("core", "io", "transform", "cli", "viz", "errors")]
 ALL = ["tests"]  # not bench/: its runs import the checkout's own src/, never the copy
 
 
@@ -96,6 +96,16 @@ MUTANTS = [
     # the layout plan's own checks
     Mutant("viz.py", "if node.x != index:", "if False:"),
     Mutant("viz.py", "if not _is_clean(text):", "if False:"),
+    # exit codes: a domain error's and a document error's swapped
+    Mutant("errors.py", "exit_code = 2", "exit_code = 1"),
+    Mutant("errors.py", "exit_code = 1", "exit_code = 2"),
+    # the CLI flags that change the output bytes, each ignored
+    Mutant("cli.py", "if args.order is not None:", "if False:"),
+    Mutant("cli.py", "if args.hide_unit_weights:", "if False:"),
+    Mutant("cli.py", "if name is not None:", "if False:"),
+    # the tags: a second line or unit replaces the first, or a field's own tag
+    Mutant("errors.py", "if self.line is None:", "if True:"),
+    Mutant("errors.py", "if self.unit is None:", "if True:"),
 ]
 
 

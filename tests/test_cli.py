@@ -5,6 +5,7 @@ import gc
 import io
 import os
 import random
+import shutil
 import stat
 import subprocess
 import sys
@@ -428,6 +429,19 @@ def test_byte_identical_across_hash_seeds(table2, values):
         ["transform", "--map", table2, "--data", values],
     ):
         assert capture("0", argv) == capture("1", argv) == capture("42", argv)
+
+
+# The console script that installing the package puts beside the interpreter.
+XMAP_SCRIPT = shutil.which("xmap", path=os.path.dirname(sys.executable))
+
+
+@pytest.mark.skipif(XMAP_SCRIPT is None, reason="no xmap script beside the interpreter")
+def test_installed_script_prints_what_python_m_xmap_prints(table2):
+    for command in ("validate", "render"):
+        script = subprocess.run([XMAP_SCRIPT, command, table2], capture_output=True)
+        module = subprocess.run([sys.executable, "-m", "xmap", command, table2], capture_output=True)
+        assert module.returncode == 0, module.stderr
+        assert (script.returncode, script.stdout, script.stderr) == (0, module.stdout, module.stderr)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

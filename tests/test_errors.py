@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmap
-from xmap import CrossmapError, DuplicateKey, DuplicateLink, MissingSourceMapping, ParseError
+from xmap import (
+    CrossmapError,
+    DuplicateKey,
+    DuplicateLink,
+    DuplicateUnit,
+    MissingSourceMapping,
+    ParseError,
+)
 
 ERRORS = [
     cls for cls in map(xmap.__dict__.get, xmap.__all__)
@@ -83,6 +90,9 @@ def test_fields_are_the_args_and_the_message_is_formatted_once():
     assert (err.args, err.source, err.target, err.index) == (("a", "b", 4), "a", "b", 4)
     assert DuplicateLink(target="b", source="a").args == ("a", "b", None)
     assert str(ParseError(2, "x").at_line(9)) == "parse error: x (line 2)"
+    unit = DuplicateUnit("u").for_unit("v")
+    assert (str(unit), unit.unit) == ("duplicate unit name 'u'", "u")
+    assert str(DuplicateKey("k").for_unit("a").for_unit("b")) == "unit 'a': duplicate key 'k'"
     assert (str(CrossmapError("text")), CrossmapError("text").message) == ("text", "text")
 
 
