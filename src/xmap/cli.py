@@ -276,39 +276,30 @@ def _write_stdout(stream: TextIO, text: str) -> None:
         raise
 
 
-def _report_usage_error(err: UsageError, stream: TextIO) -> int:
-    print(f"error: {err}", file=stream)
-    print(err.usage.rstrip("\n"), file=stream)
-    return EXIT_USAGE
-
-
 def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     out_stream = stdout if stdout is not None else sys.stdout
     err_stream = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        return _report_usage_error(err, err_stream)
-    except SystemExit as stop:  # argparse exits itself only for --help
-        return EXIT_OK if (stop.code or 0) == 0 else EXIT_USAGE
-
     package_log = None
-    if getattr(args, "allow_unmatched", False):  # the one command that can log a warning
-        import logging
-
-        log_handler = logging.StreamHandler(err_stream)
-        log_handler.setFormatter(logging.Formatter("warning: %(message)s"))
-        package_log = logging.getLogger(__package__)
-        package_log.addHandler(log_handler)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "allow_unmatched", False):  # the one command that can log a warning
+            import logging
+
+            log_handler = logging.StreamHandler(err_stream)
+            log_handler.setFormatter(logging.Formatter("warning: %(message)s"))
+            package_log = logging.getLogger(__package__)
+            package_log.addHandler(log_handler)
         text = args.handler(args)
         if args.out:
             _replace_file(args.out, text)
         else:
             _write_stdout(out_stream, text)
-    except UsageError as err:  # a flag that the other flags leave without effect
-        return _report_usage_error(err, err_stream)
+    except UsageError as err:  # a bad argv, or a flag that the other flags leave without effect
+        print(f"error: {err}", file=err_stream)
+        print(err.usage.rstrip("\n"), file=err_stream)
+        return EXIT_USAGE
+    except SystemExit as stop:  # argparse exits itself only for --help
+        return EXIT_OK if (stop.code or 0) == 0 else EXIT_USAGE
     except CrossmapError as err:
         print(f"error: {err}", file=err_stream)
         return err.exit_code

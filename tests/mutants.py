@@ -103,6 +103,15 @@ MUTANTS = [
     Mutant("cli.py", "if args.order is not None:", "if False:"),
     Mutant("cli.py", "if args.hide_unit_weights:", "if False:"),
     Mutant("cli.py", "if name is not None:", "if False:"),
+    # the CLI's names and bytes: an empty taxonomy name, the second map of
+    # compose read under its own stem, a byte-order mark kept
+    Mutant("cli.py", "stem if source_name is None else source_name", "source_name or stem"),
+    Mutant(
+        "cli.py",
+        "second = _load_map(args.second, first.target_taxonomy)",
+        "second = _load_map(args.second)",
+    ),
+    Mutant("cli.py", ".removeprefix(codecs.BOM_UTF8)", ""),
     # the tags: a second line or unit replaces the first, or a field's own tag
     Mutant("errors.py", "if self.line is None:", "if True:"),
     Mutant("errors.py", "if self.unit is None:", "if True:"),

@@ -5,6 +5,7 @@ import gc
 import io
 import os
 import random
+import shlex
 import shutil
 import stat
 import subprocess
@@ -24,6 +25,7 @@ MERGE_TEXT = (
     "DEU,DACH,1\n"
     "AUS,DACH,1\n"
 )
+VALID_LINE = "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
 
 
 def invoke(*argv: str) -> tuple[int, str, str]:
@@ -46,36 +48,6 @@ def values(tmp_path):
     return str(path)
 
 
-def test_validate_ok(table2):
-    code, out, err = invoke("validate", table2)
-    assert code == 0
-    assert out == "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
-    assert err == ""
-
-
-def test_validate_weight_sum_names_source(tmp_path):
-    path = tmp_path / "broken.csv"
-    path.write_text("from,to,weight\nBLX,BEL,0.6\nBLX,LUX,0.5\nAUS,AUS,1\n")
-    code, out, err = invoke("validate", str(path))
-    assert code == 1
-    assert out == ""
-    assert "BLX" in err and "error:" in err
-
-
-def test_validate_malformed_is_exit_2(tmp_path):
-    path = tmp_path / "malformed.csv"
-    path.write_text("from,to\nBLX,BEL\n")
-    code, _, err = invoke("validate", str(path))
-    assert code == 2
-    assert "parse error" in err
-
-
-def test_missing_file_is_exit_2(tmp_path):
-    code, _, err = invoke("validate", str(tmp_path / "nope.csv"))
-    assert code == 2
-    assert "error:" in err
-
-
 def test_unknown_flag_is_exit_3(table2):
     code, _, err = invoke("validate", table2, "--frobnicate")
     assert code == 3
@@ -91,37 +63,6 @@ def test_no_command_is_exit_3():
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "command" in capsys.readouterr().out
-
-
-def test_transform(table2, values):
-    code, out, err = invoke("transform", "--map", table2, "--data", values)
-    assert code == 0
-    assert out == "key,value\nAUS,3\nBEL,5\nDEU,12\nLUX,5\n"
-    assert err == ""
-
-
-def test_transform_unmatched_key_is_refused_by_default(table2, tmp_path):
-    # With --allow-unmatched, the transform-unmatched contract row pins the output.
-    data = tmp_path / "data.csv"
-    data.write_text("key,value\nBLX,10\nATLANTIS,1\n")
-    code, _, err = invoke("transform", "--map", table2, "--data", str(data))
-    assert code == 1
-    assert "ATLANTIS" in err
-
-
-def test_compose_bridges_taxonomy_names(table2, tmp_path):
-    merge = tmp_path / "merge.csv"
-    merge.write_text(MERGE_TEXT)
-    code, out, err = invoke("compose", table2, str(merge))
-    assert code == 0
-    assert err == ""
-    assert out == (
-        "from,to,weight\n"
-        "AUS,DACH,1\n"
-        "BLX,BENELUX,1\n"
-        "E.GER,DACH,1\n"
-        "W.GER,DACH,1\n"
-    )
 
 
 def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch):
@@ -184,29 +125,6 @@ def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch)
         assert len(calls) == labels, argv
 
 
-def test_compose_uncovered_intermediate(table2, tmp_path):
-    partial = tmp_path / "partial.csv"
-    partial.write_text("from,to,weight\nBEL,B,1\nLUX,B,1\nDEU,D,1\n")
-    code, _, err = invoke("compose", table2, str(partial))
-    assert code == 1
-    assert "AUS" in err
-
-
-def test_compose_of_valid_maps_names_compounded_slack(tmp_path):
-    first = tmp_path / "a.csv"
-    first.write_text("from,to,weight\ns,m1,0.5000009\ns,m2,0.5\n")
-    second = tmp_path / "b.csv"
-    second.write_text(
-        "from,to,weight\nm1,u1,0.5000009\nm1,u2,0.5\nm2,u1,0.5000009\nm2,u2,0.5\n"
-    )
-    for path in (first, second):
-        assert invoke("validate", str(path))[0] == 0
-    assert invoke("compose", str(first), str(second)) == (1, "", (
-        "error: composed weights for source 's' sum to 1.0000018, expected 1: both maps are "
-        "valid, but the slack of their weight sums compounds beyond the tolerance\n"
-    ))
-
-
 def test_compose_with_tiny_weight_validates(tmp_path):
     first = tmp_path / "first.csv"
     first.write_text("from,to,weight\na,b,1\n")
@@ -234,58 +152,6 @@ def test_compose_with_underflowing_share_validates(tmp_path):
     assert out == "valid: 2 sources, 2 targets, 3 links, 1 splits, 1 aggregates\n"
 
 
-def test_transform_overflow_is_exit_1(tmp_path):
-    edges = tmp_path / "merge.csv"
-    edges.write_text("from,to,weight\na,t,1\nb,t,1\n")
-    data = tmp_path / "huge.csv"
-    data.write_text("key,value\na,1e308\nb,1e308\n")
-    code, out, err = invoke("transform", "--map", str(edges), "--data", str(data))
-    assert code == 1
-    assert out == ""
-    assert err == "error: value for target 't' overflows to inf\n"
-
-
-def test_transform_underflow_is_exit_1(tmp_path):
-    # Half of the smallest subnormal rounds to zero: the mass would vanish.
-    edges = tmp_path / "split.csv"
-    edges.write_text("from,to,weight\n0,0,0.5\n0,1,0.5\n")
-    data = tmp_path / "tiny.csv"
-    data.write_text("key,value\n0,5e-324\n")
-    code, out, err = invoke("transform", "--map", str(edges), "--data", str(data))
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: the share of '0' sent to '0' underflows the smallest normal float; "
-        "its mass would be lost\n"
-    )
-
-
-def test_summarize_text_and_json(table2):
-    code, out, _ = invoke("summarize", table2)
-    assert code == 0
-    assert "links: 5\n" in out
-    assert "crosswalk: no\n" in out
-    assert "DEU (2)" in out
-    code, json_out, _ = invoke("summarize", table2, "--json")
-    assert code == 0
-    assert json_out.startswith('{"n_sources":4,')
-    assert json_out.endswith("}\n")
-
-
-def test_summarize_respects_name_flags(table2):
-    _, out, _ = invoke("summarize", table2, "--source-name", "v1990", "--target-name", "v2020")
-    assert out.startswith("taxonomies: v1990 -> v2020\n")
-
-
-def test_summarize_keeps_an_empty_name(table2):
-    # An empty name is a name, as in build_crossmap; only an absent flag
-    # falls back to the file stem.
-    _, out, _ = invoke("summarize", table2, "--source-name", "", "--target-name", "v2020")
-    assert out.startswith("taxonomies:  -> v2020\n")
-    _, out, _ = invoke("summarize", table2, "--target-name", "")
-    assert out.startswith("taxonomies: table2 -> \n")
-
-
 @pytest.mark.parametrize("order", ["splits-first", "target-indegree", "input-order"])
 def test_render_builds_no_plan(order, table2, monkeypatch):
     # xmap render writes its layout's columns: the contract rows pin the bytes,
@@ -306,26 +172,6 @@ def test_render_rejects_unknown_order(table2):
     assert "usage:" in err
 
 
-def test_render_rejects_labels_xml_cannot_carry(tmp_path):
-    path = tmp_path / "noncharacter.csv"
-    path.write_text("from,to,weight\na\uffff,b,1\n", encoding="utf-8")
-    code, out, err = invoke("render", str(path))
-    assert code == 1
-    assert out == ""
-    assert "non-XML character '\\uffff' (line 2)" in err
-
-
-def test_import_crosswalk(tmp_path):
-    table = tmp_path / "iso.csv"
-    table.write_text(ISO_TABLE_TEXT)
-    code, out, _ = invoke("import-crosswalk", str(table), "--from", "ISO2", "--to", "ISO3")
-    assert code == 0
-    assert out.startswith("from,to,weight\nAF,AFG,1\n")
-    code, _, err = invoke("import-crosswalk", str(table), "--from", "ISO2", "--to", "FIPS")
-    assert code == 2
-    assert "FIPS" in err
-
-
 class Sha256(str):
     """An expected stdout given by the sha256 digest of its UTF-8 bytes."""
 
@@ -334,18 +180,34 @@ COUNTRY_SVG = {key: Sha256(digest) for key, digest in GOLDEN_SVG["country"].item
 # Input texts by file name; a contract row writes the ones its argv names.
 CONTRACT_INPUTS = {
     "country.csv": COUNTRY_EDGE_TEXT,
+    "excel.csv": "\ufeff" + COUNTRY_EDGE_TEXT,  # the byte-order mark a spreadsheet export prepends
     "region.csv": "from,to,weight\nBEL,EU,1\nLUX,EU,1\nDEU,EU,1\nAUS,OC,1\n",
+    "values.csv": SERIES_TEXT,
     "unmatched.csv": SERIES_TEXT + "ATLANTIS,1\n",
     "iso.csv": "country,ISONumeric,ISO3\nAfghanistan,004,AFG\nAlbania, 008 ,ALB\nAlgeria,012,DZA\n",
     "clamp-a.csv": "from,to,weight\ns,m1,0.5000009\ns,m2,0.5\n",
     "clamp-b.csv": "from,to,weight\nm1,u,1\nm2,u,1\n",
+    "slack-b.csv": "from,to,weight\nm1,u1,0.5000009\nm1,u2,0.5\nm2,u1,0.5000009\nm2,u2,0.5\n",
+    "partial.csv": "from,to,weight\nBEL,B,1\nLUX,B,1\nDEU,D,1\n",
+    "merge.csv": "from,to,weight\na,t,1\nb,t,1\n",
+    "huge.csv": "key,value\na,1e308\nb,1e308\n",
+    "halves.csv": "from,to,weight\n0,0,0.5\n0,1,0.5\n",
+    "tiny.csv": "key,value\n0,5e-324\n",  # half of the smallest subnormal rounds to zero
+    "malformed.csv": "from,to\nBLX,BEL\n",
+    "noncharacter.csv": "from,to,weight\na\uffff,b,1\n",
     "bad-label.csv": 'from,to,weight\nBLX,BEL,1\nE.GER,DE"U,1\n',
     "bad-weight.csv": "from,to,weight\nBLX,BEL,1\nE.GER,DEU,1_0\n",
     "bad-sum.csv": "from,to,weight\nBLX,BEL,0.5\nAUS,AUS,1\nBLX,LUX,0.4\n",
 }
-# id -> (argv, exit code, stdout, stderr), run in process. CI also runs this
-# table against the installed package.
+COUNTRY_SUMMARY = (  # summarize's text after its taxonomies line
+    "sources: 4\ntargets: 4\nlinks: 5\nsplits: 1\naggregates: 1\nmax in-degree: 2\ncrosswalk: no\n"
+    "most synthetic targets: DEU (2), AUS (1), BEL (1), LUX (1)\n"
+)
+# The CLI's contract: id -> (argv, exit code, stdout, stderr), one row per
+# argv and set of inputs, run in process. The argv is split as a shell would.
 CONTRACT = {
+    "validate": ("validate country.csv", 0, VALID_LINE, ""),
+    "validate-bom": ("validate excel.csv", 0, VALID_LINE, ""),
     "render": ("render country.csv", 0, COUNTRY_SVG["splits-first", False], ""),
     "render-hidden": ("render --hide-unit-weights country.csv", 0, COUNTRY_SVG["splits-first", True], ""),
     "render-indegree": (
@@ -363,8 +225,30 @@ CONTRACT = {
         0, COUNTRY_SVG["input-order", True], "",
     ),
     "render-dot": ("render --format dot country.csv", 0, Sha256(GOLDEN_DOT["country"]), ""),
-    "compose": (
+    "summarize": ("summarize country.csv", 0, "taxonomies: country -> country\n" + COUNTRY_SUMMARY, ""),
+    "summarize-json": (
+        "summarize --json country.csv",
+        0, '{"n_sources":4,"n_targets":4,"n_links":5,"n_splits":1,"n_aggregates":1,"max_in_degree":2,'
+        '"is_crosswalk":false,"most_synthetic_targets":[["DEU",2],["AUS",1],["BEL",1],["LUX",1]]}\n', "",
+    ),
+    "summarize-names": (
+        "summarize --source-name v1990 --target-name v2020 country.csv",
+        0, "taxonomies: v1990 -> v2020\n" + COUNTRY_SUMMARY, "",
+    ),
+    # An empty name is a name, as in build_crossmap; only an absent flag
+    # falls back to the file stem.
+    "summarize-empty-source": (
+        "summarize --source-name '' --target-name v2020 country.csv",
+        0, "taxonomies:  -> v2020\n" + COUNTRY_SUMMARY, "",
+    ),
+    "summarize-empty-target": (
+        "summarize --target-name '' country.csv", 0, "taxonomies: country -> \n" + COUNTRY_SUMMARY, ""
+    ),
+    "compose": (  # region.csv's stem is not country.csv's: the target name bridges them
         "compose country.csv region.csv", 0, "from,to,weight\nAUS,OC,1\nBLX,EU,1\nE.GER,EU,1\nW.GER,EU,1\n", ""
+    ),
+    "transform": (
+        "transform --map country.csv --data values.csv", 0, "key,value\nAUS,3\nBEL,5\nDEU,12\nLUX,5\n", ""
     ),
     "transform-unmatched": (
         "transform --map country.csv --data unmatched.csv --allow-unmatched",
@@ -376,6 +260,37 @@ CONTRACT = {
         0, "from,to,weight\n004,AFG,1\n008,ALB,1\n012,DZA,1\n", "",
     ),
     "compose-clamp": ("compose clamp-a.csv clamp-b.csv", 0, "from,to,weight\ns,u,1\n", ""),
+    # two valid maps whose weight-sum slack compounds when composed
+    "validate-slack-a": (
+        "validate clamp-a.csv", 0, "valid: 1 sources, 2 targets, 2 links, 1 splits, 0 aggregates\n", ""
+    ),
+    "validate-slack-b": (
+        "validate slack-b.csv", 0, "valid: 2 sources, 2 targets, 4 links, 2 splits, 2 aggregates\n", ""
+    ),
+    "compose-slack": (
+        "compose clamp-a.csv slack-b.csv", 1, "",
+        "error: composed weights for source 's' sum to 1.0000018, expected 1: both maps are "
+        "valid, but the slack of their weight sums compounds beyond the tolerance\n",
+    ),
+    "compose-uncovered": (
+        "compose country.csv partial.csv",
+        1, "", "error: intermediate category 'AUS' is not a source of the next step\n",
+    ),
+    "transform-refused": (
+        "transform --map country.csv --data unmatched.csv",
+        1, "", "error: data category 'ATLANTIS' has no outgoing link\n",
+    ),
+    "transform-overflow": (
+        "transform --map merge.csv --data huge.csv", 1, "", "error: value for target 't' overflows to inf\n"
+    ),
+    "transform-underflow": (
+        "transform --map halves.csv --data tiny.csv", 1, "",
+        "error: the share of '0' sent to '0' underflows the smallest normal float; its mass would be lost\n",
+    ),
+    "render-noncharacter": (
+        "render noncharacter.csv",
+        1, "", "error: invalid category label 'a\\uffff': contains non-XML character '\\uffff' (line 2)\n",
+    ),
     "bad-label": (
         "validate bad-label.csv",
         1, "", "error: invalid category label 'DE\"U': contains a double quote character (line 3)\n",
@@ -384,15 +299,24 @@ CONTRACT = {
     "bad-sum": (
         "validate bad-sum.csv", 1, "", "error: outgoing weights for source 'BLX' sum to 0.9, expected 1 (line 4)\n"
     ),
+    "validate-malformed": (
+        "validate malformed.csv",
+        2, "", "error: parse error: expected header 'from,to,weight', found 'from,to' (line 1)\n",
+    ),
+    "validate-missing": ("validate nope.csv", 2, "", "error: [Errno 2] No such file or directory: 'nope.csv'\n"),
+    "import-missing-column": (
+        "import-crosswalk iso.csv --from ISONumeric --to FIPS",
+        2, "", "error: column 'FIPS' not found; columns are ['country', 'ISONumeric', 'ISO3']\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", CONTRACT.values(), ids=CONTRACT)
 def test_cli_contract(argv, code, stdout, stderr, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    argv = argv.split()
+    argv = shlex.split(argv)
     for name in set(argv) & set(CONTRACT_INPUTS):
-        (tmp_path / name).write_text(CONTRACT_INPUTS[name])
+        (tmp_path / name).write_text(CONTRACT_INPUTS[name], encoding="utf-8")
     got_code, got_out, got_err = invoke(*argv)
     if isinstance(stdout, Sha256):
         got_out = sha256(got_out)
@@ -499,14 +423,6 @@ def test_main_warns_about_unmatched_keys_as_run_does(table2, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr, written) == (
         code, b"", stderr.encode(), out.read_bytes()
     )
-
-
-def test_validate_accepts_utf8_bom(tmp_path):
-    path = tmp_path / "excel.csv"
-    path.write_bytes(b"\xef\xbb\xbf" + COUNTRY_EDGE_TEXT.encode("utf-8"))
-    code, out, err = invoke("validate", str(path))
-    assert code == 0, err
-    assert out == "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
 
 
 def test_cli_import_loads_no_network_or_sax_modules():
@@ -749,10 +665,7 @@ def test_out_through_a_symlink_replaces_its_target(table2, tmp_path):
     code, _, _ = invoke("validate", table2, "--out", str(link))
     assert code == 0
     assert link.is_symlink()
-    assert real.read_text() == "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
-
-
-VALID_LINE = "valid: 4 sources, 4 targets, 5 links, 1 splits, 1 aggregates\n"
+    assert real.read_text() == VALID_LINE
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")

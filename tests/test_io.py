@@ -71,25 +71,6 @@ def test_read_edge_list_accepts_crlf_and_missing_final_newline():
     assert read_edge_list(COUNTRY_EDGE_TEXT.rstrip("\n"), "old", "new") == country_fixture()
 
 
-def test_read_edge_list_header_required():
-    with pytest.raises(ParseError) as caught:
-        read_edge_list("from,to\nBLX,BEL\n", "x", "y")
-    assert caught.value.line == 1
-
-
-def test_read_edge_list_field_count():
-    with pytest.raises(ParseError) as caught:
-        read_edge_list("from,to,weight\nBLX,BEL\n", "x", "y")
-    assert caught.value.line == 2
-
-
-@pytest.mark.parametrize("weight", ["abc", "", "inf", "nan"])
-def test_read_edge_list_bad_weight_text(weight):
-    with pytest.raises(ParseError) as caught:
-        read_edge_list(f"from,to,weight\nBLX,BEL,{weight}\n", "x", "y")
-    assert caught.value.line == 2
-
-
 @pytest.mark.parametrize(
     "text",
     ["0_5", "１", "1_000", "７", "١٢"],
@@ -105,27 +86,6 @@ def test_readers_take_only_ascii_number_text(text):
         read_series(f"key,value\na,1\nb,{text}\n", "x")
     assert caught.value.line == 3
     assert f"invalid value {text!r}" in str(caught.value)
-
-
-def test_read_edge_list_weight_range_with_line():
-    with pytest.raises(WeightOutOfRange) as caught:
-        read_edge_list("from,to,weight\nBLX,BEL,0\n", "x", "y")
-    assert "(line 2)" in str(caught.value)
-
-
-def test_read_edge_list_duplicate_with_line():
-    text = "from,to,weight\nBLX,BEL,0.5\nBLX,BEL,0.5\n"
-    with pytest.raises(DuplicateLink) as caught:
-        read_edge_list(text, "x", "y")
-    assert "(line 3)" in str(caught.value)
-
-
-def test_read_edge_list_sum_violation_points_at_sources_last_row():
-    text = "from,to,weight\nBLX,BEL,0.6\nAUS,AUS,1\nBLX,LUX,0.5\n"
-    with pytest.raises(WeightSumViolation) as caught:
-        read_edge_list(text, "x", "y")
-    assert caught.value.source == "BLX"
-    assert "(line 4)" in str(caught.value)
 
 
 @pytest.mark.parametrize(
@@ -153,31 +113,46 @@ def test_read_edge_list_weight_sum_tolerance_is_1e_6(rows, line):
     assert (caught.value.source, caught.value.line) == ("s", line)
 
 
+_H = "from,to,weight"
+
+
 @pytest.mark.parametrize(
-    "rows, error, line",
+    "text, error, message, line",
     [
+        # one defect: the header, a row's field count or weight text, a
+        # duplicate at its second row, a sum at its source's last row
+        ("from,to\nBLX,BEL\n", ParseError,
+         "parse error: expected header 'from,to,weight', found 'from,to'", 1),
+        (f"{_H}\nBLX,BEL\n", ParseError, "parse error: expected 3 fields (from,to,weight), found 2", 2),
+        (f"{_H}\nBLX,BEL,abc\n", ParseError, "parse error: invalid weight 'abc'", 2),
+        (f"{_H}\nBLX,BEL,\n", ParseError, "parse error: invalid weight ''", 2),
+        (f"{_H}\nBLX,BEL,inf\n", ParseError, "parse error: invalid weight 'inf'", 2),
+        (f"{_H}\nBLX,BEL,0.5\nBLX,BEL,0.5\n", DuplicateLink, "duplicate link 'BLX' -> 'BEL'", 3),
+        (f"{_H}\nBLX,BEL,0.6\nAUS,AUS,1\nBLX,LUX,0.5\n", WeightSumViolation,
+         "outgoing weights for source 'BLX' sum to 1.1, expected 1", 4),
         # a row-local defect anywhere beats a duplicate seen earlier
-        ("a,b,0.5\na,b,0.5\nc,d,abc\n", ParseError, 4),
-        ("a,b,0.5\na,b,0.5\nc,d,2\n", WeightOutOfRange, 4),
+        (f"{_H}\na,b,0.5\na,b,0.5\nc,d,abc\n", ParseError, "parse error: invalid weight 'abc'", 4),
+        (f"{_H}\na,b,0.5\na,b,0.5\nc,d,2\n", WeightOutOfRange,
+         "link 'c' -> 'd' has weight 2.0; weights must satisfy 0 < weight <= 1 (omit the link for zero)", 4),
         # among map-level defects the smallest duplicated pair is named first,
         # at its second occurrence, though ("z", "y") repeats on an earlier line
-        ("z,y,0.5\nz,y,0.5\nb,c,0.3\nb,c,0.3\nb,d,0.5\n", DuplicateLink, 5),
+        (f"{_H}\nz,y,0.5\nz,y,0.5\nb,c,0.3\nb,c,0.3\nb,d,0.5\n", DuplicateLink,
+         "duplicate link 'b' -> 'c'", 5),
         # duplicates come before weight sums, whichever line breaks first
-        ("b,c,0.5\nz,y,0.5\nz,y,0.5\n", DuplicateLink, 4),
+        (f"{_H}\nb,c,0.5\nz,y,0.5\nz,y,0.5\n", DuplicateLink, "duplicate link 'z' -> 'y'", 4),
         # then the smallest violating source, at its last row
-        ("q,r,0.5\nm,n,0.5\nq,s,0.4\nm,o,0.4\n", WeightSumViolation, 5),
+        (f"{_H}\nq,r,0.5\nm,n,0.5\nq,s,0.4\nm,o,0.4\n", WeightSumViolation,
+         "outgoing weights for source 'm' sum to 0.9, expected 1", 5),
     ],
-    ids=["parse-over-duplicate", "range-over-duplicate", "smallest-duplicate",
+    ids=["header", "field-count", "weight-abc", "weight-empty", "weight-inf", "duplicate",
+         "sum-at-last-row", "parse-over-duplicate", "range-over-duplicate", "smallest-duplicate",
          "duplicate-over-sum", "smallest-sum-source"],
 )
-def test_read_edge_list_multi_defect_policy(rows, error, line):
-    with pytest.raises(error) as caught:
-        read_edge_list("from,to,weight\n" + rows, "x", "y")
-    assert caught.value.line == line
-    assert f"(line {line})" in str(caught.value)
-
-
-_H = "from,to,weight"
+def test_read_edge_list_multi_defect_policy(text, error, message, line):
+    with pytest.raises(CrossmapError) as caught:
+        read_edge_list(text, "x", "y")
+    assert type(caught.value) is error
+    assert (str(caught.value), caught.value.line) == (f"{message} (line {line})", line)
 
 
 @pytest.mark.parametrize(
