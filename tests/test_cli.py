@@ -48,6 +48,30 @@ def values(tmp_path):
     return str(path)
 
 
+def test_validate_weight_sum_names_source(tmp_path):
+    path = tmp_path / "broken.csv"
+    path.write_text("from,to,weight\nBLX,BEL,0.6\nBLX,LUX,0.5\nAUS,AUS,1\n")
+    code, out, err = invoke("validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "BLX" in err and "error:" in err
+
+
+def test_compose_bridges_taxonomy_names(table2, tmp_path):
+    merge = tmp_path / "merge.csv"
+    merge.write_text(MERGE_TEXT)
+    code, out, err = invoke("compose", table2, str(merge))
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "from,to,weight\n"
+        "AUS,DACH,1\n"
+        "BLX,BENELUX,1\n"
+        "E.GER,DACH,1\n"
+        "W.GER,DACH,1\n"
+    )
+
+
 def test_unknown_flag_is_exit_3(table2):
     code, _, err = invoke("validate", table2, "--frobnicate")
     assert code == 3

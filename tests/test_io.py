@@ -71,6 +71,13 @@ def test_read_edge_list_accepts_crlf_and_missing_final_newline():
     assert read_edge_list(COUNTRY_EDGE_TEXT.rstrip("\n"), "old", "new") == country_fixture()
 
 
+@pytest.mark.parametrize("weight", ["abc", "", "inf", "nan"])
+def test_read_edge_list_bad_weight_text(weight):
+    with pytest.raises(ParseError) as caught:
+        read_edge_list(f"from,to,weight\nBLX,BEL,{weight}\n", "x", "y")
+    assert caught.value.line == 2
+
+
 @pytest.mark.parametrize(
     "text",
     ["0_5", "１", "1_000", "７", "١٢"],
@@ -86,6 +93,12 @@ def test_readers_take_only_ascii_number_text(text):
         read_series(f"key,value\na,1\nb,{text}\n", "x")
     assert caught.value.line == 3
     assert f"invalid value {text!r}" in str(caught.value)
+
+
+def test_read_edge_list_weight_range_with_line():
+    with pytest.raises(WeightOutOfRange) as caught:
+        read_edge_list("from,to,weight\nBLX,BEL,0\n", "x", "y")
+    assert "(line 2)" in str(caught.value)
 
 
 @pytest.mark.parametrize(
