@@ -26,8 +26,9 @@ A process pays only for its command: main() runs it with the cyclic garbage
 collector off and freezes every object before exit, so the interpreter's
 exit-time collections scan none of them; logging, json and tempfile are
 imported only by transform --allow-unmatched, summarize --json and --out;
-and compose and render write the columns their kernels compute, with no
-Crossmap or LayoutPlan built just to print them.
+validate prints the five counts of the map's census, with no ranking of
+its targets; and compose and render write the columns their kernels
+compute, with no Crossmap or LayoutPlan built just to print them.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ import gc
 import os
 import stat
 import sys
-from pathlib import PurePath
 from typing import NoReturn, TextIO
 
-from .core import Crossmap, summarize
+from .core import Crossmap, _census, summarize
 from .errors import CrossmapError, ParseError
 from .io import (
     _write_edge_columns,
@@ -88,7 +88,10 @@ def _load_map(
     path: str, source_name: str | None = None, target_name: str | None = None
 ) -> Crossmap:
     # The file stem names a taxonomy only when no name is given; "" is a name.
-    stem = PurePath(path).stem
+    # A dot that starts or ends the file name starts no suffix.
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
     return read_edge_list(
         _read_text(path),
         stem if source_name is None else source_name,
@@ -97,10 +100,10 @@ def _load_map(
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
-    s = summarize(_load_map(args.edges))
+    n_sources, n_targets, n_links, n_splits, n_aggregates = _census(_load_map(args.edges))
     return (
-        f"valid: {s.n_sources} sources, {s.n_targets} targets, {s.n_links} links, "
-        f"{s.n_splits} splits, {s.n_aggregates} aggregates\n"
+        f"valid: {n_sources} sources, {n_targets} targets, {n_links} links, "
+        f"{n_splits} splits, {n_aggregates} aggregates\n"
     )
 
 

@@ -79,8 +79,10 @@ def clean_label(text: str) -> str:
 
 
 def clean_labels(texts: Iterable[str]) -> dict[str, str] | None:
-    """Each of ``texts`` mapped to the label :func:`clean_label` makes of it,
-    or None when ``clean_label`` refuses any of them.
+    """Each of ``texts`` that trimming changes, mapped to the label
+    :func:`clean_label` makes of it, or None when ``clean_label`` refuses any
+    of them. A text missing from the result is its own label, so the result is
+    empty when every text is already a label.
 
     One emptiness test and one pattern scan over the tab-joined labels cover
     every text: tab is allowed in a label, so joining on it adds no match.
@@ -89,7 +91,7 @@ def clean_labels(texts: Iterable[str]) -> dict[str, str] | None:
     labels = list(map(str.strip, texts))
     if not all(labels) or _BANNED_PATTERN.search("\t".join(labels)):
         return None
-    return dict(zip(texts, labels))
+    return {text: label for text, label in zip(texts, labels) if text != label}
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,14 +225,18 @@ class Crossmap:
             if _off_unit_sum(total):
                 violations.append((source, total))
             groups[source] = tuple(group)
-        # Only a failure looks up the input index of the link it names.
+        # Only a failure looks up the input index of the link it names, and
+        # the scan stops at that link.
         if duplicates:
             source, target = min(duplicates)
-            seconds = [i for i, link in enumerate(links) if link.pair == (source, target)]
-            raise DuplicateLink(source, target, index=seconds[1])
+            twins = (
+                i for i, link in enumerate(links) if link.source == source and link.target == target
+            )
+            next(twins)  # the pair's first link; the error names its second
+            raise DuplicateLink(source, target, index=next(twins))
         if violations:
             source, total = min(violations)
-            last = max(i for i, link in enumerate(links) if link.source == source)
+            last = next(i for i in range(len(links) - 1, -1, -1) if links[i].source == source)
             raise WeightSumViolation(source, total, index=last)
         object.__setattr__(self, "_links_by_source", groups)
 
@@ -354,17 +360,28 @@ class CrossmapSummary:
     most_synthetic_targets: tuple[tuple[str, int], ...]
 
 
-def summarize(crossmap: Crossmap) -> CrossmapSummary:
-    """Count sources, targets, links, splits and aggregates from the cached tables."""
+def _census(crossmap: Crossmap) -> tuple[int, int, int, int, int]:
+    """The counts of sources, targets, links, splits and aggregates, from the
+    cached tables: what ``xmap validate`` prints, with no ranking built."""
     groups, in_degrees = crossmap._links_by_source, crossmap._in_degrees
-    ranked = sorted(in_degrees.items(), key=itemgetter(0))  # by label, then
+    return (
+        len(groups),
+        len(in_degrees),
+        len(crossmap.links),
+        len(groups) - list(map(len, groups.values())).count(1),  # every group has a link
+        len(in_degrees) - list(in_degrees.values()).count(1),
+    )
+
+
+def summarize(crossmap: Crossmap) -> CrossmapSummary:
+    """Count sources, targets, links, splits and aggregates from the cached
+    tables (the counts ``xmap validate`` prints), rank the targets by
+    in-degree, and give the highest in-degree and whether the map is a
+    crosswalk."""
+    ranked = sorted(crossmap._in_degrees.items(), key=itemgetter(0))  # by label, then
     ranked.sort(key=itemgetter(1), reverse=True)  # by in-degree, stably
     return CrossmapSummary(
-        n_sources=len(groups),
-        n_targets=len(in_degrees),
-        n_links=len(crossmap.links),
-        n_splits=len(groups) - list(map(len, groups.values())).count(1),  # every group has a link
-        n_aggregates=len(in_degrees) - list(in_degrees.values()).count(1),
+        *_census(crossmap),
         max_in_degree=ranked[0][1],
         is_crosswalk=crossmap.is_crosswalk,
         most_synthetic_targets=tuple(ranked),

@@ -122,9 +122,10 @@ def read_edge_list(text: str, source_taxonomy: str, target_taxonomy: str) -> Cro
     which the error's ``index`` gives. Within a row the field count is
     checked first, then the weight text and its finiteness, the source label,
     the target label and the weight range. Each distinct label text and
-    weight text is checked once by columns; only a document those checks
-    refuse is read again row by row, each row's labels and weight range
-    checked by ``Link`` itself, so a defect is reported at its first row.
+    weight text is checked once by columns, and every cell of one label text
+    gives the same ``str`` object; only a document those checks refuse is
+    read again row by row, each row's labels and weight range checked by
+    ``Link`` itself, so a defect is reported at its first row.
     """
     links = _edge_links(_body(text, EDGE_LIST_HEADER))
     # Every row parsed, so link i sits on line i + 2.
@@ -139,8 +140,9 @@ def _edge_links(rows: list[str]) -> list[Link]:
 
     Every row must hold exactly two commas; the rows are then split once into
     three columns, and each distinct weight text and label text is checked
-    once. Each column of texts is freed once its column of values is made.
-    Where any check fails, :func:`_raise_first_row_defect` names the defect.
+    once; only the label texts that trimming changes are looked up again.
+    Each column of texts is freed once its column of values is made. Where
+    any check fails, :func:`_raise_first_row_defect` names the defect.
     """
     count = len(rows)
     if not count:
@@ -154,12 +156,18 @@ def _edge_links(rows: list[str]) -> list[Link]:
     sources, targets, weight_texts = cells[0::3], cells[1::3], cells[2::3]
     del cells
     weights = _edge_weights(set(weight_texts))
-    labels = None if weights is None else clean_labels({*sources, *targets})
+    # The first cell of each text stands for all its cells: one str object
+    # per label, which later dict lookups find by identity.
+    distinct: dict[str, str] = {}
+    sources = list(map(distinct.setdefault, sources, sources))
+    targets = list(map(distinct.setdefault, targets, targets))
+    labels = None if weights is None else clean_labels(distinct)
     if labels is None:
         _raise_first_row_defect(enumerate(zip(sources, targets, weight_texts), start=2))
-    sources = list(map(labels.__getitem__, sources))
-    targets = list(map(labels.__getitem__, targets))
-    del labels
+    del distinct
+    if labels:  # only a padded text is not its own label
+        sources = list(map(labels.get, sources, sources))
+        targets = list(map(labels.get, targets, targets))
     return _unchecked(Link, count, sources, targets, list(map(weights.__getitem__, weight_texts)))
 
 
@@ -259,9 +267,9 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     targets = [row[to_idx] for row in doc.rows]
     labels = clean_labels({*sources, *targets})
     if labels is not None:
-        sources = list(map(labels.__getitem__, sources))
+        sources = list(map(labels.get, sources, sources))
         if len(set(sources)) == len(sources):
-            links = _unchecked(Link, len(sources), sources, map(labels.__getitem__, targets), repeat(1.0))
+            links = _unchecked(Link, len(sources), sources, map(labels.get, targets, targets), repeat(1.0))
             return build_crossmap(from_col, to_col, links)
 
     seen_sources: set[str] = set()

@@ -73,6 +73,15 @@ MUTANTS = [
     Mutant("transform.py", "if (unit, key) in rows:", "if False:"),
     Mutant("transform.py", "if unit in seen_units:", "if False:"),
     Mutant("io.py", "if len(set(sources)) == len(sources):", "if True:"),
+    # the reader's remap of padded label texts, skipped
+    Mutant("io.py", "if labels:", "if False:"),
+    # the census that validate prints: splits and aggregates miscounted
+    Mutant(
+        "core.py",
+        "list(map(len, groups.values())).count(1)",
+        "list(map(len, groups.values())).count(2)",
+    ),
+    Mutant("core.py", "list(in_degrees.values()).count(1)", "list(in_degrees.values()).count(2)"),
     # apply's one underflow site: its bound halved and doubled, its weight-1 exemption dropped
     Mutant("transform.py", "-_FLOOR < share < _FLOOR", "-_FLOOR / 2 < share < _FLOOR / 2"),
     Mutant("transform.py", "-_FLOOR < share < _FLOOR", "-_FLOOR * 2 < share < _FLOOR * 2"),
@@ -112,6 +121,8 @@ MUTANTS = [
         "second = _load_map(args.second)",
     ),
     Mutant("cli.py", ".removeprefix(codecs.BOM_UTF8)", ""),
+    # a file name's trailing dot taken for a suffix
+    Mutant("cli.py", "if 0 < dot < len(name) - 1 else", "if 0 < dot else"),
     # the tags: a second line or unit replaces the first, or a field's own tag
     Mutant("errors.py", "if self.line is None:", "if True:"),
     Mutant("errors.py", "if self.unit is None:", "if True:"),

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import xmap
 from xmap import write_edge_list
 from xmap.cli import build_parser, run
 from helpers import COUNTRY_EDGE_TEXT, GOLDEN_DOT, GOLDEN_SVG, ISO_TABLE_TEXT, random_crossmap, sha256
@@ -484,6 +485,52 @@ def test_cli_loads_logging_json_html_and_tempfile_only_where_used(table2):
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert proc.stdout.splitlines() == ["[] True", "[]"]
+
+
+def test_cli_import_leaves_pathlib_out():
+    # A user's start-up pays for every module the CLI imports, and the file
+    # stem needs no pathlib. Under -S no site hook loads it first; -S also
+    # drops site-packages, so the package's parent directory is put on the
+    # path by hand.
+    parent = os.path.dirname(os.path.dirname(xmap.__file__))
+    probe = (
+        f"import sys; sys.path.insert(0, {parent!r}); import xmap.cli; "
+        "print(xmap.cli.__file__.startswith(sys.path[0]), 'pathlib' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "True False\n"
+
+
+@pytest.mark.parametrize(
+    "path, stem",
+    [
+        ("a.csv", "a"),
+        ("dir/a.b.csv", "a.b"),
+        (".csv", ".csv"),
+        ("a", "a"),
+        ("./a.csv", "a"),
+        ("a.tar.gz", "a.tar"),
+        # A dot that starts or ends the file name starts no suffix.
+        ("a.", "a."),
+        ("..csv", "."),
+    ],
+)
+def test_a_map_is_named_by_its_file_stem(path, stem, tmp_path, monkeypatch):
+    # The stems are those PurePath(path).stem gives on Python 3.11.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / path).write_text(COUNTRY_EDGE_TEXT, encoding="utf-8")
+    code, out, err = invoke("summarize", path)
+    assert (code, out.splitlines()[0], err) == (0, f"taxonomies: {stem} -> {stem}", "")
+
+
+def test_a_directory_path_is_exit_2(tmp_path, monkeypatch):
+    # Its stem is "" (pathlib's is "dir"), but the read fails before any name is used.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert invoke("summarize", "dir/") == (2, "", "error: [Errno 21] Is a directory: 'dir/'\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "transform", "import-crosswalk"])

@@ -174,6 +174,7 @@ def test_read_edge_list_multi_defect_policy(text, error, message, line):
         (f"{_H}\r\na,b,0.5\r\na,c,0.5\r\n", None),
         (f"{_H}\r\r\na,b,0.5\r\r\na,c,0.5\r\r\n", None),
         (f"{_H}\na\tb,c,1\n", None),
+        (f"{_H}\n DEU ,DE,1\n", None),
         (f"{_H}\na,b,1\nc,d\ufffe,1\n",
          (InvalidLabel, "invalid category label 'd\\ufffe': contains non-XML character '\\ufffe'", 3)),
         (f"{_H}\na,b,1\nc, \t ,1\n",
@@ -195,7 +196,7 @@ def test_read_edge_list_multi_defect_policy(text, error, message, line):
             "crossmap has no links; a mapping with no links transforms nothing"
         ), None)),
     ],
-    ids=["crlf", "cr-cr-lf", "inner-tab", "non-character", "whitespace-cell", "underscore",
+    ids=["crlf", "cr-cr-lf", "inner-tab", "padded-label", "non-character", "whitespace-cell", "underscore",
          "fullwidth-1", "nan", "zero", "above-one", "four-fields-after-bad-label", "header-only"],
 )
 def test_read_edge_list_column_checks_fall_back_to_the_row_loop(text, expected, monkeypatch):

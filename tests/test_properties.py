@@ -428,6 +428,28 @@ def test_read_edge_list_matches_the_row_by_row_oracle(text):
     assert str(caught.value) == (message if line is None else f"{message} (line {line})")
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_read_edge_list_gives_each_label_one_object(data):
+    # On an unpadded document, every cell of one label, in either column,
+    # comes back as the same str object. Some targets are renamed to source
+    # labels (one-to-one, so the map stays valid) for labels in both columns.
+    crossmap = data.draw(crossmaps())
+    targets = crossmap.target_categories
+    sources = data.draw(st.permutations(crossmap.source_categories))
+    shared = data.draw(st.integers(0, min(len(targets), len(sources))))
+    renamed = dict(zip(targets[:shared], sources[:shared]))
+    renamed.update((target, target) for target in targets[shared:])
+    assume(len(set(renamed.values())) == len(renamed))
+    rows = "".join(
+        f"{link.source},{renamed[link.target]},{link.weight!r}\n" for link in crossmap.links
+    )
+    links = read_edge_list(f"from,to,weight\n{rows}", "alpha", "beta").links
+    first_seen: dict[str, str] = {}
+    for label in [link.source for link in links] + [link.target for link in links]:
+        assert first_seen.setdefault(label, label) is label
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_functor_law_small(data):
@@ -621,16 +643,19 @@ def test_links_into_groups_the_sorted_pairs_by_target(crossmap):
     max_size=6,
 ))
 def test_clean_labels_agrees_with_clean_label(texts):
-    # The batch cleaner returns what clean_label returns for each text, or
-    # None where clean_label refuses any one of them.
-    cleaned = {}
+    # The batch cleaner returns None exactly when clean_label refuses some
+    # text. Otherwise it maps each text whose label differs from it to that
+    # label, and leaves out every text that is its own label.
+    changed = {}
     for text in texts:
         try:
-            cleaned[text] = clean_label(text)
+            label = clean_label(text)
         except InvalidLabel:
-            cleaned = None
+            changed = None
             break
-    assert clean_labels(texts) == cleaned
+        if label != text:
+            changed[text] = label
+    assert clean_labels(texts) == changed
 
 
 @st.composite
@@ -740,6 +765,26 @@ def test_xmap_render_writes_what_the_api_renders(tmp_path_factory, crossmap):
             out, err = io.StringIO(), io.StringIO()
             expected = render_svg(layout_bipartite(crossmap, ordering), hide_unit_weights=hide)
             assert (run(argv, stdout=out, stderr=err), out.getvalue(), err.getvalue()) == (0, expected, "")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    crossmaps(), st.integers(0, 2**32 - 1).map(lambda seed: random_crossmap(random.Random(seed)))
+))
+def test_xmap_validate_prints_the_counts_summarize_gives(tmp_path_factory, crossmap):
+    # The command prints the census without summarize's ranking; its five
+    # counts must be summarize's, in the same order.
+    path = tmp_path_factory.mktemp("validate", numbered=True) / "map.csv"
+    path.write_text(_edge_text(crossmap), encoding="utf-8")
+    s = summarize(crossmap)
+    expected = (
+        f"valid: {s.n_sources} sources, {s.n_targets} targets, {s.n_links} links, "
+        f"{s.n_splits} splits, {s.n_aggregates} aggregates\n"
+    )
+    out, err = io.StringIO(), io.StringIO()
+    assert (run(["validate", str(path)], stdout=out, stderr=err), out.getvalue(), err.getvalue()) == (
+        0, expected, ""
+    )
 
 
 @settings(max_examples=300, deadline=None)
