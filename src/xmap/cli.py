@@ -40,6 +40,7 @@ import gc
 import os
 import stat
 import sys
+from contextlib import redirect_stdout
 from typing import NoReturn, TextIO
 
 from .core import Crossmap, _census, summarize
@@ -284,7 +285,8 @@ def run(argv: list[str], *, stdout: TextIO | None = None, stderr: TextIO | None 
     err_stream = stderr if stderr is not None else sys.stderr
     package_log = None
     try:
-        args = build_parser().parse_args(argv)
+        with redirect_stdout(out_stream):  # where argparse prints --help
+            args = build_parser().parse_args(argv)
         if getattr(args, "allow_unmatched", False):  # the one command that can log a warning
             import logging
 

@@ -60,11 +60,14 @@ def clean_label(text: str) -> str:
     """Trim surrounding whitespace and validate a category label.
 
     Labels are case-sensitive identifiers ("BLX", "111111", "004"); they are
-    never numerically interpreted. Comma, newline, and double-quote characters
-    are banned so CSV emission stays unambiguous without quoting; the other C0
-    control characters except tab, the surrogates U+D800 to U+DFFF and the
+    never numerically interpreted, and a label that is not a ``str`` is
+    refused. Comma, newline, and double-quote characters are banned so CSV
+    emission stays unambiguous without quoting; the other C0 control
+    characters except tab, the surrogates U+D800 to U+DFFF and the
     non-characters U+FFFE and U+FFFF are banned because XML cannot carry them.
     """
+    if not isinstance(text, str):
+        raise InvalidLabel(text, f"not a str but {type(text).__name__}")
     label = text.strip()
     if not label:
         raise InvalidLabel(text, "empty after trimming whitespace")
@@ -85,10 +88,14 @@ def clean_labels(texts: Iterable[str]) -> dict[str, str] | None:
     empty when every text is already a label.
 
     One emptiness test and one pattern scan over the tab-joined labels cover
-    every text: tab is allowed in a label, so joining on it adds no match.
+    every text: tab is allowed in a label, so joining on it adds no match. A
+    text that is not a ``str`` makes ``str.strip`` raise ``TypeError``.
     """
     texts = list(texts)
-    labels = list(map(str.strip, texts))
+    try:
+        labels = list(map(str.strip, texts))
+    except TypeError:
+        return None
     if not all(labels) or _BANNED_PATTERN.search("\t".join(labels)):
         return None
     return {text: label for text, label in zip(texts, labels) if text != label}

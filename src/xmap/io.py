@@ -265,7 +265,10 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
 
     sources = [row[from_idx] for row in doc.rows]
     targets = [row[to_idx] for row in doc.rows]
-    labels = clean_labels({*sources, *targets})
+    try:
+        labels = clean_labels({*sources, *targets})
+    except TypeError:  # an unhashable cell, which the rows below refuse
+        labels = None
     if labels is not None:
         sources = list(map(labels.get, sources, sources))
         if len(set(sources)) == len(sources):
@@ -275,7 +278,7 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     seen_sources: set[str] = set()
     for number, row in enumerate(doc.rows, start=2):
         for idx, name in ((from_idx, from_col), (to_idx, to_col)):
-            if not row[idx].strip():
+            if isinstance(row[idx], str) and not row[idx].strip():
                 raise EmptyCell(number, name)
         try:
             source, _ = clean_label(row[from_idx]), clean_label(row[to_idx])

@@ -33,12 +33,14 @@ DASHED = "dashed"
 _DASH = ' stroke-dasharray="6,4"'
 
 _MAX_LABEL_CHARS = 24
-_PAD_X = 160.0
-_PAD_Y = 40.0
-_NODE_SPACING = 44.0
-_LAYER_SPACING = 240.0
-_NODE_RADIUS = 6.0
-_EDGE_TRIM = 9.0
+# An integer grid: both spacings are even, so every edge midpoint and
+# weight-label y is exact, and every coordinate prints as the int it is.
+_PAD_X = 160
+_PAD_Y = 40
+_NODE_SPACING = 44
+_LAYER_SPACING = 240
+_NODE_RADIUS = 6
+_EDGE_TRIM = 9
 _SWEEPS = 4  # barycenter iterations of layout_chain, each one pass each way
 
 _SOURCE_FILL = "#33415c"
@@ -133,7 +135,7 @@ def _is_endpoint(at: object) -> bool:
 def _is_clean(text: object) -> bool:
     """Whether ``text`` is a ``str`` that :func:`clean_label` keeps as it is."""
     try:
-        return isinstance(text, str) and clean_label(text) == text
+        return clean_label(text) == text
     except InvalidLabel:
         return False
 
@@ -323,21 +325,18 @@ def layout_chain(chain: MultiStepChain) -> LayoutPlan:
 
 
 def _coord(value: float) -> str:
-    if value and value.is_integer():  # not -0.0, which the .2f path prints as "-0"
-        return str(int(value))
-    text = f"{value:.2f}".rstrip("0").rstrip(".")
-    return text or "0"
+    """An opacity, the one fractional number of an SVG, to at most two decimals."""
+    return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
-# The grid constants are integral (a test checks), so each row text is the str
-# of an int: a node's or label's y by row, a weight label's y by row sum and parity.
-_WEIGHT_Y, _WEIGHT_STEP = (int(_PAD_Y - 6), int(_PAD_Y + 14)), int(_NODE_SPACING / 2)
+# A weight label's y by its edge's index parity and the sum of its end rows.
+_WEIGHT_Y, _WEIGHT_STEP = (_PAD_Y - 6, _PAD_Y + 14), _NODE_SPACING // 2
 
 
 def _row_texts(offset: int, rows: int) -> list[str]:
-    """``_coord(_PAD_Y + offset + row * _NODE_SPACING)`` for each of ``rows``."""
-    first, step = int(_PAD_Y) + offset, int(_NODE_SPACING)
-    return list(map(str, range(first, first + rows * step, step)))
+    """``str(_PAD_Y + offset + row * _NODE_SPACING)`` for each of ``rows``."""
+    first = _PAD_Y + offset
+    return list(map(str, range(first, first + rows * _NODE_SPACING, _NODE_SPACING)))
 
 
 def _escape(text: str) -> str:
@@ -395,18 +394,19 @@ def _svg(nodes: Sequence[tuple[list, list]], edges: Sequence[tuple], hide_unit_w
     node_y = _row_texts(0, max_rows)
 
     # Edges go first: their head rows count the in-degrees that shade the nodes.
+    # Each x text is made once per column, not once per element.
     in_degree = [Counter() for _ in nodes]
     lines, weight_labels = [], []
     first = 0  # plan index of the run's first edge: weight labels alternate above and below
     for column, tails, heads, weights, styles, texts in edges:
         in_degree[column + 1].update(heads)
-        x1, x2 = _coord(xs[column] + _EDGE_TRIM), _coord(xs[column + 1] - _EDGE_TRIM)
+        x1, x2 = str(xs[column] + _EDGE_TRIM), str(xs[column + 1] - _EDGE_TRIM)
         lines += [
             f'<line x1="{x1}" y1="{node_y[tail]}" x2="{x2}" y2="{node_y[head]}" '
             f'stroke="{_EDGE_STROKE}" stroke-width="1.5"{_DASH if style == DASHED else ""}/>'
             for tail, head, style in zip(tails, heads, styles)
         ]
-        mid_x = _coord((xs[column] + xs[column + 1]) / 2)
+        mid_x = str(xs[column] + _LAYER_SPACING // 2)
         weight_labels += [
             f'<text x="{mid_x}" y="{_WEIGHT_Y[index & 1] + _WEIGHT_STEP * (tail + head)}" '
             f'text-anchor="middle" font-size="11" fill="{_LABEL_FILL}">{text}</text>'
@@ -419,22 +419,21 @@ def _svg(nodes: Sequence[tuple[list, list]], edges: Sequence[tuple], hide_unit_w
 
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_coord(width)}" height="{_coord(height)}" '
-        f'viewBox="0 0 {_coord(width)} {_coord(height)}">',
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         '<g font-family="Helvetica, Arial, sans-serif" font-size="13" fill="#1f2933">',
     ]
-    radius = _coord(_NODE_RADIUS)
+    radius = str(_NODE_RADIUS)
     shade = cache(lambda degree: f' fill-opacity="{_coord(target_opacity(degree))}"')
     split = RelationKind.SPLIT.value
     for column, (labels, kinds) in enumerate(nodes):
         x, label_y, looks = xs[column], 4, repeat("")
         if column == 0:
-            fill, label_x, anchor = _SOURCE_FILL, _coord(x - 2 * _NODE_RADIUS), ' text-anchor="end"'
+            fill, label_x, anchor = _SOURCE_FILL, str(x - 2 * _NODE_RADIUS), ' text-anchor="end"'
             looks = [' font-style="italic"' if kind == split else ' font-weight="bold"' for kind in kinds]
         elif column < last:  # edges leave this column on the right
-            fill, label_x, anchor, label_y = _TARGET_FILL, _coord(x), ' text-anchor="middle"', -10
+            fill, label_x, anchor, label_y = _TARGET_FILL, str(x), ' text-anchor="middle"', -10
         else:
-            fill, label_x, anchor = _TARGET_FILL, _coord(x + 2 * _NODE_RADIUS), ' text-anchor="start"'
+            fill, label_x, anchor = _TARGET_FILL, str(x + 2 * _NODE_RADIUS), ' text-anchor="start"'
         degrees = map(in_degree[column].__getitem__, range(len(labels)))
         shading = repeat("") if column == 0 else map(shade, degrees)
         shown = _escape("\n".join(labels)).split("\n")
@@ -444,7 +443,7 @@ def _svg(nodes: Sequence[tuple[list, list]], edges: Sequence[tuple], hide_unit_w
                 else f"<title>{text}</title>{_escape(label[: _MAX_LABEL_CHARS - 1])}…"
                 for label, text in zip(labels, shown)
             ]
-        node_x = _coord(x)
+        node_x = str(x)
         parts += [
             f'<circle cx="{node_x}" cy="{y}" r="{radius}" fill="{fill}"{opacity}/>\n'
             f'<text x="{label_x}" y="{text_y}"{anchor}{look}>{label}</text>'

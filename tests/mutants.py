@@ -62,10 +62,11 @@ MUTANTS = [
             "(its significand is odd), so abs(total - 1.0) never equals the tolerance"
         ),
     ),
-    # the weight range, and the labels' emptiness and character rules
+    # the weight range, and the labels' emptiness, character and type rules
     Mutant("core.py", "return 0.0 < weight <= 1.0", "return 0.0 < weight < 1.0000001"),
     Mutant("core.py", "if not all(labels) or", "if False or"),
     Mutant("core.py", r"\ufffe\uffff]", "]"),
+    Mutant("core.py", "if not isinstance(text, str):", "if False:"),
     # duplicates: links, series keys (read and built), panel rows, units, source codes
     Mutant("core.py", "if link.target == target:", "if False:"),
     Mutant("io.py", "if key in entries:", "if False:"),

@@ -90,6 +90,17 @@ def test_help_exits_zero(capsys):
     assert "command" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["--help"], "usage: xmap [-h]"), (["validate", "--help"], "usage: xmap validate [-h]")],
+    ids=["xmap", "validate"],
+)
+def test_help_goes_to_the_stream_run_writes_to(argv, usage, capsys):
+    code, out, err = invoke(*argv)
+    assert (code, out.startswith(usage), err) == (0, True, "")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch):
     # Readers clean each distinct raw label text once per document, either
     # through the batch cleaner or through clean_label, and outputs built from
@@ -778,6 +789,21 @@ def test_out_file_in_a_locked_directory_is_written_in_place(table2, tmp_path):
         assert out.read_text() == VALID_LINE
     finally:
         locked.chmod(0o755)
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root writes any file")
+def test_out_over_a_read_only_file_is_refused_and_left_alone(table2, tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    try:
+        assert invoke("validate", table2, "--out", str(out)) == (
+            2, "", f"error: [Errno 13] Permission denied: '{out}'\n"
+        )
+        assert (out.read_text(), stat.S_IMODE(out.stat().st_mode)) == ("old\n", 0o444)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.txt", "table2.csv"]
+    finally:
+        out.chmod(0o644)
 
 
 def test_write_error_of_a_caller_stream_is_reported_unchanged(table2):

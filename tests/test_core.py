@@ -12,17 +12,22 @@ from xmap import (
     Crossmap,
     DuplicateLink,
     EmptyCrossmap,
+    HarmonisedPanel,
+    IndexedSeries,
     InvalidLabel,
     Link,
     RelationKind,
     UnknownCategory,
     WeightOutOfRange,
     WeightSumViolation,
+    WideCrosswalkDocument,
     build_crossmap,
     classify_source,
     classify_target,
     clean_label,
     compose,
+    harmonise,
+    import_crosswalk,
     read_edge_list,
     summarize,
 )
@@ -41,6 +46,35 @@ def test_clean_label_keeps_inner_spaces():
 def test_clean_label_rejects(bad):
     with pytest.raises(InvalidLabel):
         clean_label(bad)
+
+
+_NOT_A_STR = "invalid category label 4: not a str but int"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: clean_label(4), _NOT_A_STR),
+        (lambda: Link(4, "b", 1.0), _NOT_A_STR),
+        (lambda: build_crossmap("a", "b", [(4, "x", 1.0)]), _NOT_A_STR),
+        (lambda: IndexedSeries("t", {4: 1.0}), _NOT_A_STR),
+        (lambda: HarmonisedPanel("t", (("u", 4, 1.0),)), _NOT_A_STR),
+        (lambda: harmonise([(4, country_fixture(), country_series())]), _NOT_A_STR),
+        (lambda: import_crosswalk(WideCrosswalkDocument(("a", "b"), (("x", 4),)), "a", "b"), _NOT_A_STR),
+        (
+            lambda: import_crosswalk(WideCrosswalkDocument(("a", "b"), (([4], "x"),)), "a", "b"),
+            "invalid category label [4]: not a str but list",
+        ),
+    ],
+    ids=[
+        "clean_label", "Link", "build_crossmap", "IndexedSeries", "HarmonisedPanel", "harmonise",
+        "import_crosswalk", "import_crosswalk-unhashable",
+    ],
+)
+def test_a_label_that_is_not_a_str_is_an_invalid_label(build, message):
+    with pytest.raises(InvalidLabel) as raised:
+        build()
+    assert str(raised.value).startswith(message)
 
 
 @pytest.mark.parametrize("weight", [0.0, -0.1, 1.00000005, 1.0000001, 2.0, math.nan])
