@@ -81,31 +81,65 @@ def clean_label(text: str) -> str:
     return label
 
 
-def clean_labels(texts: Iterable[str]) -> dict[str, str] | None:
-    """Each of ``texts`` that trimming changes, mapped to the label
-    :func:`clean_label` makes of it, or None when ``clean_label`` refuses any
-    of them. A text missing from the result is its own label, so the result is
-    empty when every text is already a label.
+def clean_label_columns(columns: list[list]) -> bool:
+    """Replace each column of label texts in ``columns`` with its labels, or
+    return False when :func:`clean_label` refuses any text.
 
-    One emptiness test and one pattern scan over the tab-joined labels cover
-    every text: tab is allowed in a label, so joining on it adds no match. A
-    text that is not a ``str`` makes ``str.strip`` raise ``TypeError``.
+    The columns are replaced one by one, so a caller that holds no other
+    reference to them frees each raw column in turn. Every cell of one text
+    becomes the first cell's ``str``, which later dict lookups find by
+    identity. One emptiness test and one pattern scan over the tab-joined
+    labels check each distinct text once: tab is allowed in a label, so
+    joining on it adds no match. Only a padded text is remapped. A text that
+    is unhashable or not a ``str`` makes ``dict`` or ``str.strip`` raise
+    ``TypeError``, a refusal; a refusal leaves every cell equal to its text.
     """
-    texts = list(texts)
+    distinct: dict[str, str] = {}
     try:
-        labels = list(map(str.strip, texts))
+        for i in range(len(columns)):
+            columns[i] = list(map(distinct.setdefault, columns[i], columns[i]))
+        labels = list(map(str.strip, distinct))
     except TypeError:
-        return None
+        return False
     if not all(labels) or _BANNED_PATTERN.search("\t".join(labels)):
+        return False
+    changed = {text: label for text, label in zip(distinct, labels) if text != label}
+    if changed:
+        for i in range(len(columns)):
+            columns[i] = list(map(changed.get, columns[i], columns[i]))
+    return True
+
+
+def _float(text: str) -> float | None:
+    """``float(text)`` for number text in the form writers emit: ASCII without
+    the digit-group underscores and non-ASCII digits that float() also takes.
+    None for any other text."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return None
+
+
+def _number(value: object) -> float | None:
+    """``value`` as a float: a ``str`` read by :func:`_float` once trimmed, as
+    the readers read number text, anything else by ``float()``. None where
+    that fails."""
+    if isinstance(value, str):
+        return _float(value.strip())
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
         return None
-    return {text: label for text, label in zip(texts, labels) if text != label}
 
 
 @dataclass(frozen=True, slots=True)
 class Link:
     """One directed relation: ``weight`` of ``source``'s mass goes to ``target``.
 
-    A zero share is encoded by the absence of a link, so 0 < weight <= 1.
+    A zero share is encoded by the absence of a link, so 0 < weight <= 1. A
+    ``str`` weight is read as the edge-list reader reads number text.
     Self-loops (source == target) are legal and express "category unchanged".
     """
 
@@ -115,9 +149,9 @@ class Link:
 
     def __post_init__(self) -> None:
         source, target = clean_label(self.source), clean_label(self.target)
-        weight = float(self.weight)
-        if not _in_weight_range(weight):
-            raise WeightOutOfRange(source, target, weight)
+        weight = _number(self.weight)
+        if weight is None or not _in_weight_range(weight):
+            raise WeightOutOfRange(source, target, self.weight if weight is None else weight)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "weight", weight)

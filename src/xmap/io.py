@@ -18,6 +18,7 @@ from .core import (
     Crossmap,
     CrossmapSummary,
     Link,
+    _float,
     _in_weight_range,
     _source_of,
     _target_of,
@@ -25,7 +26,7 @@ from .core import (
     _weight_of,
     build_crossmap,
     clean_label,
-    clean_labels,
+    clean_label_columns,
 )
 from .errors import (
     CrossmapError,
@@ -96,18 +97,6 @@ def _body(text: str, header: str) -> list[str]:
     return lines
 
 
-def _float(text: str) -> float | None:
-    """``float(text)`` for number text in the form writers emit: ASCII without
-    the digit-group underscores and non-ASCII digits that float() also takes.
-    None for any other text."""
-    if text.isascii() and "_" not in text:
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    return None
-
-
 # ── edge lists ────────────────────────────────────────────────────────────
 
 
@@ -139,10 +128,9 @@ def _edge_links(rows: list[str]) -> list[Link]:
     """The links of an edge list's rows, checked by columns.
 
     Every row must hold exactly two commas; the rows are then split once into
-    three columns, and each distinct weight text and label text is checked
-    once; only the label texts that trimming changes are looked up again.
-    Each column of texts is freed once its column of values is made. Where
-    any check fails, :func:`_raise_first_row_defect` names the defect.
+    three columns, each distinct weight text is checked once and the label
+    columns are cleaned in place by :func:`clean_label_columns`. Where any
+    check fails, :func:`_raise_first_row_defect` names the defect.
     """
     count = len(rows)
     if not count:
@@ -153,22 +141,12 @@ def _edge_links(rows: list[str]) -> list[Link]:
     del rows
     cells = body.split(",")
     del body
-    sources, targets, weight_texts = cells[0::3], cells[1::3], cells[2::3]
+    labels, weight_texts = [cells[0::3], cells[1::3]], cells[2::3]
     del cells
     weights = _edge_weights(set(weight_texts))
-    # The first cell of each text stands for all its cells: one str object
-    # per label, which later dict lookups find by identity.
-    distinct: dict[str, str] = {}
-    sources = list(map(distinct.setdefault, sources, sources))
-    targets = list(map(distinct.setdefault, targets, targets))
-    labels = None if weights is None else clean_labels(distinct)
-    if labels is None:
-        _raise_first_row_defect(enumerate(zip(sources, targets, weight_texts), start=2))
-    del distinct
-    if labels:  # only a padded text is not its own label
-        sources = list(map(labels.get, sources, sources))
-        targets = list(map(labels.get, targets, targets))
-    return _unchecked(Link, count, sources, targets, list(map(weights.__getitem__, weight_texts)))
+    if weights is None or not clean_label_columns(labels):
+        _raise_first_row_defect(enumerate(zip(*labels, weight_texts), start=2))
+    return _unchecked(Link, count, *labels, list(map(weights.__getitem__, weight_texts)))
 
 
 def _edge_weights(texts: Iterable[str]) -> dict[str, float] | None:
@@ -252,10 +230,11 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     Each row becomes one link with weight 1; the column names become the
     taxonomy names. The from-column must map each source code once. Any
     descriptive columns (human-readable names and the like) are dropped
-    unchecked. The two columns' distinct code texts are cleaned in one
-    :func:`clean_labels` batch. Only a table that the batch refuses, or whose
-    from-column repeats a code, is read again row by row, so its first defect
-    is reported at its line: an empty cell, then a label, then a repeat.
+    unchecked. The two columns are cleaned in place by
+    :func:`clean_label_columns`. Only a table with a row of the wrong cell
+    count, whose columns that step refuses, or whose from-column repeats a
+    code, is read again row by row, so its first defect is reported at its
+    line: the cell count, an empty cell, then a label, then a repeat.
     """
     for name in (from_col, to_col):
         if name not in doc.columns:
@@ -263,20 +242,17 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     from_idx = doc.columns.index(from_col)
     to_idx = doc.columns.index(to_col)
 
-    sources = [row[from_idx] for row in doc.rows]
-    targets = [row[to_idx] for row in doc.rows]
-    try:
-        labels = clean_labels({*sources, *targets})
-    except TypeError:  # an unhashable cell, which the rows below refuse
-        labels = None
-    if labels is not None:
-        sources = list(map(labels.get, sources, sources))
-        if len(set(sources)) == len(sources):
-            links = _unchecked(Link, len(sources), sources, map(labels.get, targets, targets), repeat(1.0))
+    width, rows = len(doc.columns), doc.rows
+    if list(map(len, rows)).count(width) == len(rows):
+        codes = [[row[from_idx] for row in rows], [row[to_idx] for row in rows]]
+        if clean_label_columns(codes) and len(set(codes[0])) == len(rows):
+            links = _unchecked(Link, len(rows), *codes, repeat(1.0))
             return build_crossmap(from_col, to_col, links)
 
     seen_sources: set[str] = set()
-    for number, row in enumerate(doc.rows, start=2):
+    for number, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ParseError(number, f"expected {width} cells, found {len(row)}")
         for idx, name in ((from_idx, from_col), (to_idx, to_col)):
             if isinstance(row[idx], str) and not row[idx].strip():
                 raise EmptyCell(number, name)
@@ -287,7 +263,7 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
         if source in seen_sources:
             raise DuplicateSourceCode(source).at_line(number)
         seen_sources.add(source)
-    raise AssertionError("the batch refused a table that every row check passes")
+    raise AssertionError("the column checks refused a table that every row check passes")
 
 
 # ── value series and panels ───────────────────────────────────────────────

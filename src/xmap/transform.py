@@ -24,6 +24,7 @@ from .core import (
     Link,
     RelationKind,
     _left_to_right_sum,
+    _number,
     _off_unit_sum,
     _unchecked,
     classify_source,
@@ -64,7 +65,8 @@ class IndexedSeries:
     """A category -> numeric value association under one taxonomy.
 
     Values carry whatever numeric mass the dataset measures (counts, currency,
-    population). Labels are trimmed and validated; values must be finite.
+    population). Labels are trimmed and validated; values must be finite. A
+    ``str`` value is read as :func:`read_series` reads number text.
     """
 
     taxonomy: str
@@ -76,10 +78,11 @@ class IndexedSeries:
             label = _label(key, index)
             if label in cleaned:
                 raise DuplicateKey(label)
-            value = float(value)
-            if not math.isfinite(value):
-                raise NonFiniteValue(label, value, index)
-            cleaned[label] = value
+            # A float is taken as it is, with no call: a read series holds only floats.
+            number = value if value.__class__ is float else _number(value)
+            if number is None or not math.isfinite(number):
+                raise NonFiniteValue(label, value if number is None else number, index)
+            cleaned[label] = number
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
 
     def __reduce__(self):
@@ -132,8 +135,8 @@ class PanelRow(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class HarmonisedPanel:
     """Long-format rows (unit, key, value) under one shared target taxonomy.
-    Unit and key are cleaned labels and the value is finite, as in a series;
-    no (unit, key) pair repeats. :func:`harmonise` vouches for its own panel."""
+    Unit, key and value are checked as in a series, and no (unit, key) pair
+    repeats. :func:`harmonise` vouches for its own panel."""
 
     target_taxonomy: str
     rows: tuple[PanelRow, ...]
@@ -143,12 +146,12 @@ class HarmonisedPanel:
         for index, row in enumerate(self.rows):
             unit, key, value = PanelRow(*row)
             unit, key = _label(unit, index), _label(key, index)
-            value = float(value)
-            if not math.isfinite(value):
-                raise NonFiniteValue(key, value, index).for_unit(unit)
+            number = _number(value)
+            if number is None or not math.isfinite(number):
+                raise NonFiniteValue(key, value if number is None else number, index).for_unit(unit)
             if (unit, key) in rows:
                 raise DuplicatePanelRow(unit, key, index)
-            rows[unit, key] = PanelRow(unit, key, value)
+            rows[unit, key] = PanelRow(unit, key, number)
         object.__setattr__(self, "rows", tuple(rows.values()))
 
 

@@ -89,6 +89,24 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def record_label_scans(monkeypatch) -> list[str]:
+    """Swap ``xmap.core._BANNED_PATTERN`` for a recorder, through which every
+    label check scans, and return the list that receives each label scanned.
+    A batch scan over tab-joined labels logs each of its labels, so the list
+    counts label checks, not scans. The test labels hold no tab."""
+    import xmap.core
+
+    pattern, scanned = xmap.core._BANNED_PATTERN, []
+
+    class Recorder:
+        def search(self, text):
+            scanned.extend(text.split("\t"))
+            return pattern.search(text)
+
+    monkeypatch.setattr(xmap.core, "_BANNED_PATTERN", Recorder())
+    return scanned
+
+
 def country_fixture() -> Crossmap:
     return build_crossmap("old", "new", COUNTRY_LINKS)
 

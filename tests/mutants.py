@@ -66,16 +66,38 @@ MUTANTS = [
     Mutant("core.py", "return 0.0 < weight <= 1.0", "return 0.0 < weight < 1.0000001"),
     Mutant("core.py", "if not all(labels) or", "if False or"),
     Mutant("core.py", r"\ufffe\uffff]", "]"),
+    Mutant("core.py", "'[,\"", "'[\""),
+    Mutant("core.py", r"\x00-\x08", r"\x01-\x08"),
+    Mutant("core.py", r"\x0a-\x1f", r"\x0b-\x1f"),
+    Mutant("core.py", r"\ud800-\udfff", ""),
     Mutant("core.py", "if not isinstance(text, str):", "if False:"),
+    # the number-text rule of the constructors: a str read by float(), a
+    # value float() refuses let through, a series or panel value read by float()
+    Mutant("core.py", "if isinstance(value, str):", "if False:"),
+    Mutant(
+        "core.py",
+        "if weight is None or not _in_weight_range(weight):",
+        "if not _in_weight_range(weight):",
+    ),
+    Mutant(
+        "transform.py",
+        "number = value if value.__class__ is float else _number(value)",
+        "number = float(value)",
+    ),
+    Mutant("transform.py", "number = _number(value)", "number = float(value)"),
     # duplicates: links, series keys (read and built), panel rows, units, source codes
     Mutant("core.py", "if link.target == target:", "if False:"),
     Mutant("io.py", "if key in entries:", "if False:"),
     Mutant("transform.py", "if label in cleaned:", "if False:"),
     Mutant("transform.py", "if (unit, key) in rows:", "if False:"),
     Mutant("transform.py", "if unit in seen_units:", "if False:"),
-    Mutant("io.py", "if len(set(sources)) == len(sources):", "if True:"),
-    # the reader's remap of padded label texts, skipped
-    Mutant("io.py", "if labels:", "if False:"),
+    Mutant("io.py", "and len(set(codes[0])) == len(rows):", "and True:"),
+    # the column step's remap of padded label texts, skipped
+    Mutant("core.py", "if changed:", "if False:"),
+    # a hand-built crosswalk row of the wrong cell count: let into the fast
+    # path, or let through the row checks
+    Mutant("io.py", "if list(map(len, rows)).count(width) == len(rows):", "if True:"),
+    Mutant("io.py", "if len(row) != width:", "if False:"),
     # the census that validate prints: splits and aggregates miscounted
     Mutant(
         "core.py",

@@ -16,7 +16,15 @@ import pytest
 import xmap
 from xmap import write_edge_list
 from xmap.cli import build_parser, run
-from helpers import COUNTRY_EDGE_TEXT, GOLDEN_DOT, GOLDEN_SVG, ISO_TABLE_TEXT, random_crossmap, sha256
+from helpers import (
+    COUNTRY_EDGE_TEXT,
+    GOLDEN_DOT,
+    GOLDEN_SVG,
+    ISO_TABLE_TEXT,
+    random_crossmap,
+    record_label_scans,
+    sha256,
+)
 
 SERIES_TEXT = "key,value\nBLX,10\nE.GER,5\nW.GER,7\nAUS,3\n"
 MERGE_TEXT = (
@@ -102,34 +110,14 @@ def test_help_goes_to_the_stream_run_writes_to(argv, usage, capsys):
 
 
 def test_each_input_label_is_cleaned_once(table2, values, tmp_path, monkeypatch):
-    # Readers clean each distinct raw label text once per document, either
-    # through the batch cleaner or through clean_label, and outputs built from
-    # validated links and series are not re-cleaned. A split source repeats on
+    # Readers check each distinct raw label text once per document, either
+    # through the column step or through clean_label, and outputs built from
+    # validated links and series are not re-checked. A split source repeats on
     # each of its rows and an aggregate target on each of its rows, and " DEU"
     # and "DEU" are two raw texts of one label, so the count of distinct texts
-    # is below the count of label fields. Both cleaners are patched in every
-    # module that binds them, and every text either one is given is counted.
-    import xmap.core
-
-    calls = []
-    original, original_batch = xmap.core.clean_label, xmap.core.clean_labels
-
-    def counted(text):
-        calls.append(text)
-        return original(text)
-
-    def counted_batch(texts):
-        texts = list(texts)
-        calls.extend(texts)
-        return original_batch(texts)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "xmap" and module is not None:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-                elif value is original_batch:
-                    monkeypatch.setattr(module, attr, counted_batch)
+    # is below the count of label fields. Every label that a check scans for
+    # banned characters is counted.
+    calls = record_label_scans(monkeypatch)
     merge_text = (
         "from,to,weight\n"
         "BEL,BENELUX,1\n"

@@ -10,12 +10,14 @@ import pytest
 
 from xmap import (
     Crossmap,
+    CrossmapError,
     DuplicateLink,
     EmptyCrossmap,
     HarmonisedPanel,
     IndexedSeries,
     InvalidLabel,
     Link,
+    NonFiniteValue,
     RelationKind,
     UnknownCategory,
     WeightOutOfRange,
@@ -77,6 +79,67 @@ def test_a_label_that_is_not_a_str_is_an_invalid_label(build, message):
     assert str(raised.value).startswith(message)
 
 
+_WEIGHT = "link 'a' -> 'b' has weight "
+_VALUE = "value for 'a' is not finite: "
+
+
+@pytest.mark.parametrize(
+    "build, error, message, tags",
+    [
+        pytest.param(
+            lambda: Link("a", "b", "0_1"), WeightOutOfRange, _WEIGHT + "'0_1'", (None, None),
+            id="Link-underscore",
+        ),
+        pytest.param(
+            lambda: build_crossmap("x", "y", [("a", "b", "0_1")]),
+            WeightOutOfRange, _WEIGHT + "'0_1'", (None, None),
+            id="build_crossmap-underscore",
+        ),
+        pytest.param(
+            lambda: Link("a", "b", "x"), WeightOutOfRange, _WEIGHT + "'x'", (None, None), id="Link-text"
+        ),
+        pytest.param(
+            lambda: Link("a", "b", None), WeightOutOfRange, _WEIGHT + "None", (None, None), id="Link-None"
+        ),
+        pytest.param(
+            lambda: Link("a", "b", 10**400), WeightOutOfRange, _WEIGHT + "1000", (None, None),
+            id="Link-overflow",
+        ),
+        pytest.param(
+            lambda: IndexedSeries("t", {"a": "1_000"}), NonFiniteValue, _VALUE + "'1_000'", (0, None),
+            id="IndexedSeries-underscore",
+        ),
+        pytest.param(
+            lambda: IndexedSeries("t", {"z": 1.0, "a": "\u0663"}),
+            NonFiniteValue, _VALUE + "'\u0663'", (1, None),
+            id="IndexedSeries-arabic-indic-digit",
+        ),
+        pytest.param(
+            lambda: IndexedSeries("t", {"a": "x"}), NonFiniteValue, _VALUE + "'x'", (0, None),
+            id="IndexedSeries-text",
+        ),
+        pytest.param(
+            lambda: IndexedSeries("t", {"a": 10**400}), NonFiniteValue, _VALUE + "1000", (0, None),
+            id="IndexedSeries-overflow",
+        ),
+        pytest.param(
+            lambda: HarmonisedPanel("t", (("u", "j", 1.0), ("u", "a", "x"))),
+            NonFiniteValue, "unit 'u': " + _VALUE + "'x'", (1, "u"),
+            id="HarmonisedPanel-text",
+        ),
+    ],
+)
+def test_a_value_that_is_not_number_text_is_refused_by_name(build, error, message, tags):
+    # A constructor reads a str as the readers read number text, and anything
+    # else with float(); a value that neither takes is the named error, with
+    # the index and unit that the constructor tags.
+    with pytest.raises(CrossmapError) as raised:
+        build()
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(message)
+    assert (raised.value.index, raised.value.unit) == tags
+
+
 @pytest.mark.parametrize("weight", [0.0, -0.1, 1.00000005, 1.0000001, 2.0, math.nan])
 def test_link_rejects_bad_weights(weight):
     with pytest.raises(WeightOutOfRange):
@@ -86,6 +149,8 @@ def test_link_rejects_bad_weights(weight):
 def test_link_accepts_boundary_weights():
     assert Link("a", "b", 1.0).weight == 1.0
     assert Link("a", "b", 1e-12).weight == 1e-12
+    # number text as the readers take it, and any number float() takes
+    assert [Link("a", "b", w).weight for w in (" 0.5 ", "1e-3", 1, True)] == [0.5, 0.001, 1.0, 1.0]
 
 
 def test_link_is_frozen():

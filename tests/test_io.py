@@ -42,6 +42,7 @@ from helpers import (
     country_fixture,
     country_series,
     oracle_read_edge_list,
+    record_label_scans,
 )
 
 
@@ -339,19 +340,8 @@ def test_import_crosswalk_empty_cell():
 
 
 def test_import_crosswalk_cleans_each_code_text_once(monkeypatch):
-    import xmap.io
-
-    # Both cleaners are patched, and every text either one is given is counted.
-    calls = []
-    original, original_batch = xmap.io.clean_label, xmap.io.clean_labels
-
-    def counted_batch(texts):
-        texts = list(texts)
-        calls.extend(texts)
-        return original_batch(texts)
-
-    monkeypatch.setattr(xmap.io, "clean_label", lambda text: calls.append(text) or original(text))
-    monkeypatch.setattr(xmap.io, "clean_labels", counted_batch)
+    # Every label that a check scans for banned characters is counted.
+    calls = record_label_scans(monkeypatch)
     # BE repeats in the to-column and A sits in both; a defect on a repeated
     # code is reported at its first row.
     walk = import_crosswalk(read_crosswalk_table("a,b\nB,BE\nL,BE\nA,A\n"), "a", "b")
@@ -367,6 +357,18 @@ def test_import_crosswalk_cleans_each_code_text_once(monkeypatch):
     with pytest.raises(EmptyCell) as from_file:
         import_crosswalk(read_crosswalk_table("a,b\nx,  \n"), "a", "b")
     assert str(by_hand.value) == str(from_file.value) == "empty cell in column 'b' (line 2)"
+
+
+@pytest.mark.parametrize("row", [("x",), ("x", "y", "z")], ids=["short", "long"])
+def test_import_crosswalk_refuses_a_hand_built_ragged_row(row):
+    # A row of a table built by hand whose cell count is not the header's is
+    # the parse error, at the line, that the same table read from a file gives.
+    with pytest.raises(ParseError) as by_hand:
+        import_crosswalk(WideCrosswalkDocument(("a", "b"), (("w", "v"), row)), "a", "b")
+    with pytest.raises(ParseError) as from_file:
+        read_crosswalk_table(f"a,b\nw,v\n{','.join(row)}\n")
+    message = f"parse error: expected 2 cells, found {len(row)} (line 3)"
+    assert str(by_hand.value) == str(from_file.value) == message
 
 
 _QUOTED_BE = "invalid category label 'B\"E': contains a double quote character"

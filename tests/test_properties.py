@@ -51,7 +51,7 @@ from xmap import (
     write_summary_json,
 )
 from xmap.cli import run
-from xmap.core import clean_label, clean_labels
+from xmap.core import clean_label, clean_label_columns
 from xmap.io import format_weight
 from xmap.viz import _escape, count_crossings
 from helpers import (
@@ -639,23 +639,35 @@ def test_links_into_groups_the_sorted_pairs_by_target(crossmap):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(
-    st.text(alphabet=st.sampled_from(["a", "B", " ", "\t", "\u00e9", *_BAD_LABEL_CHARS]), max_size=4),
+    st.one_of(
+        st.text(alphabet=st.sampled_from(["a", "B", " ", "\t", "\u00e9", *_BAD_LABEL_CHARS]), max_size=4),
+        st.sampled_from([4, None, ["a"]]),
+    ),
     max_size=6,
 ))
 def test_clean_labels_agrees_with_clean_label(texts):
-    # The batch cleaner returns None exactly when clean_label refuses some
-    # text. Otherwise it maps each text whose label differs from it to that
-    # label, and leaves out every text that is its own label.
-    changed = {}
-    for text in texts:
-        try:
-            label = clean_label(text)
-        except InvalidLabel:
-            changed = None
-            break
-        if label != text:
-            changed[text] = label
-    assert clean_labels(texts) == changed
+    # The column step refuses exactly when clean_label refuses some text, and
+    # a refused column keeps its texts. Otherwise each cell becomes
+    # clean_label of its text, and equal texts come out as one object. Each
+    # str is copied to an object of its own, so an equal pair is not already
+    # one object.
+    try:
+        expected = [clean_label(text) for text in texts]
+    except InvalidLabel:
+        expected = None
+    copies = [(text + "!")[:-1] if isinstance(text, str) else text for text in texts]
+    half = len(copies) // 2
+    columns = [copies[:half], copies[half:]]
+    if expected is None:
+        assert clean_label_columns(columns) is False
+        assert [*columns[0], *columns[1]] == texts
+        return
+    assert clean_label_columns(columns) is True
+    cells = [*columns[0], *columns[1]]
+    assert cells == expected
+    first: dict[str, str] = {}
+    for text, cell in zip(texts, cells):
+        assert first.setdefault(text, cell) is cell
 
 
 @st.composite

@@ -61,6 +61,8 @@ def test_series_validation():
     series = IndexedSeries("t", {" a ": 1.0, "b": 2.5})
     assert dict(series.entries) == {"a": 1.0, "b": 2.5}
     assert series.total() == 3.5
+    texts = IndexedSeries("t", {"a": " -2 ", "b": ".5", "c": 3, "d": False})
+    assert dict(texts.entries) == {"a": -2.0, "b": 0.5, "c": 3.0, "d": 0.0}
     with pytest.raises(DuplicateKey):
         IndexedSeries("t", {"a": 1.0, " a": 2.0})  # collides after trimming
     with pytest.raises(NonFiniteValue):
@@ -423,8 +425,8 @@ def test_harmonise_needs_an_input():
 
 
 def test_harmonised_panel_cleans_and_checks_each_row():
-    panel = HarmonisedPanel("t", [(" u ", " k ", 1), ("u", "j", 2.5)])
-    assert panel.rows == (PanelRow("u", "k", 1.0), PanelRow("u", "j", 2.5))
+    panel = HarmonisedPanel("t", [(" u ", " k ", 1), ("u", "j", 2.5), ("u", "i", " -0.5 ")])
+    assert panel.rows == (PanelRow("u", "k", 1.0), PanelRow("u", "j", 2.5), PanelRow("u", "i", -0.5))
     assert all(type(row) is PanelRow and type(row.value) is float for row in panel.rows)
     with pytest.raises(InvalidLabel) as caught:
         harmonise([("u,1", country_fixture(), country_series())])
