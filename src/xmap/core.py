@@ -124,10 +124,14 @@ def _float(text: str) -> float | None:
 
 def _number(value: object) -> float | None:
     """``value`` as a float: a ``str`` read by :func:`_float` once trimmed, as
-    the readers read number text, anything else by ``float()``. None where
-    that fails."""
+    the readers read number text, and a value whose type has ``__float__`` or
+    ``__index__`` by ``float()``. None for any other value, such as number
+    text inside ``bytes`` or another buffer, which ``float()`` would read,
+    and where ``float()`` fails."""
     if isinstance(value, str):
         return _float(value.strip())
+    if not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__")):
+        return None
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):

@@ -202,10 +202,25 @@ def _write_edge_columns(sources: Iterable[str], targets: Iterable[str], weights:
 
 @dataclass(frozen=True)
 class WideCrosswalkDocument:
-    """A parsed wide table: one column per code set, aligned codes per row."""
+    """A parsed wide table: one column per code set, aligned codes per row.
+
+    Read from a file or built by hand, it refuses an empty or repeated column
+    name and a row whose cell count is not the header's with ``ParseError``:
+    the header is line 1 and row i is line i + 2.
+    """
 
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        if any(not c for c in self.columns):
+            raise ParseError(1, "empty column name in header")
+        if len(set(self.columns)) != len(self.columns):
+            raise ParseError(1, "duplicate column name in header")
+        width = len(self.columns)
+        for number, row in enumerate(self.rows, start=2):
+            if len(row) != width:
+                raise ParseError(number, f"expected {width} cells, found {len(row)}")
 
 
 def read_crosswalk_table(text: str) -> WideCrosswalkDocument:
@@ -213,15 +228,8 @@ def read_crosswalk_table(text: str) -> WideCrosswalkDocument:
     lines = _lines(text)
     if not lines:
         raise ParseError(1, "empty document")
-    columns = tuple(c.strip() for c in lines[0].split(","))
-    if any(not c for c in columns):
-        raise ParseError(1, "empty column name in header")
-    if len(set(columns)) != len(columns):
-        raise ParseError(1, "duplicate column name in header")
-    rows = tuple(
-        tuple(cell.strip() for cell in cells) for _, cells in _rows(lines[1:], len(columns), "cells")
-    )
-    return WideCrosswalkDocument(columns, rows)
+    header, *rows = [tuple(cell.strip() for cell in line.split(",")) for line in lines]
+    return WideCrosswalkDocument(header, tuple(rows))
 
 
 def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> Crossmap:
@@ -231,10 +239,10 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     taxonomy names. The from-column must map each source code once. Any
     descriptive columns (human-readable names and the like) are dropped
     unchecked. The two columns are cleaned in place by
-    :func:`clean_label_columns`. Only a table with a row of the wrong cell
-    count, whose columns that step refuses, or whose from-column repeats a
-    code, is read again row by row, so its first defect is reported at its
-    line: the cell count, an empty cell, then a label, then a repeat.
+    :func:`clean_label_columns`. Only a table whose columns that step
+    refuses, or whose from-column repeats a code, is read again row by row,
+    so its first defect is reported at its line: an empty cell, then a
+    label, then a repeat.
     """
     for name in (from_col, to_col):
         if name not in doc.columns:
@@ -242,17 +250,14 @@ def import_crosswalk(doc: WideCrosswalkDocument, from_col: str, to_col: str) -> 
     from_idx = doc.columns.index(from_col)
     to_idx = doc.columns.index(to_col)
 
-    width, rows = len(doc.columns), doc.rows
-    if list(map(len, rows)).count(width) == len(rows):
-        codes = [[row[from_idx] for row in rows], [row[to_idx] for row in rows]]
-        if clean_label_columns(codes) and len(set(codes[0])) == len(rows):
-            links = _unchecked(Link, len(rows), *codes, repeat(1.0))
-            return build_crossmap(from_col, to_col, links)
+    rows = doc.rows
+    codes = [[row[from_idx] for row in rows], [row[to_idx] for row in rows]]
+    if clean_label_columns(codes) and len(set(codes[0])) == len(rows):
+        links = _unchecked(Link, len(rows), *codes, repeat(1.0))
+        return build_crossmap(from_col, to_col, links)
 
     seen_sources: set[str] = set()
     for number, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ParseError(number, f"expected {width} cells, found {len(row)}")
         for idx, name in ((from_idx, from_col), (to_idx, to_col)):
             if isinstance(row[idx], str) and not row[idx].strip():
                 raise EmptyCell(number, name)

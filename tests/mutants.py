@@ -71,9 +71,15 @@ MUTANTS = [
     Mutant("core.py", r"\x0a-\x1f", r"\x0b-\x1f"),
     Mutant("core.py", r"\ud800-\udfff", ""),
     Mutant("core.py", "if not isinstance(text, str):", "if False:"),
-    # the number-text rule of the constructors: a str read by float(), a
-    # value float() refuses let through, a series or panel value read by float()
+    # the number-text rule of the constructors: a str read by float(), number
+    # text in a buffer read by float(), a value float() refuses let through,
+    # a series or panel value read by float()
     Mutant("core.py", "if isinstance(value, str):", "if False:"),
+    Mutant(
+        "core.py",
+        'if not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__")):',
+        "if False:",
+    ),
     Mutant(
         "core.py",
         "if weight is None or not _in_weight_range(weight):",
@@ -94,9 +100,10 @@ MUTANTS = [
     Mutant("io.py", "and len(set(codes[0])) == len(rows):", "and True:"),
     # the column step's remap of padded label texts, skipped
     Mutant("core.py", "if changed:", "if False:"),
-    # a hand-built crosswalk row of the wrong cell count: let into the fast
-    # path, or let through the row checks
-    Mutant("io.py", "if list(map(len, rows)).count(width) == len(rows):", "if True:"),
+    # a crosswalk table's shape, read or built by hand: an empty or repeated
+    # column name, a row of the wrong cell count
+    Mutant("io.py", "if any(not c for c in self.columns):", "if False:"),
+    Mutant("io.py", "if len(set(self.columns)) != len(self.columns):", "if False:"),
     Mutant("io.py", "if len(row) != width:", "if False:"),
     # the census that validate prints: splits and aggregates miscounted
     Mutant(
@@ -109,8 +116,10 @@ MUTANTS = [
     Mutant("transform.py", "-_FLOOR < share < _FLOOR", "-_FLOOR / 2 < share < _FLOOR / 2"),
     Mutant("transform.py", "-_FLOOR < share < _FLOOR", "-_FLOOR * 2 < share < _FLOOR * 2"),
     Mutant("transform.py", "and value and link.weight != 1.0:", "and value:"),
-    # compose: the coverage check, the clamp and the compounded-slack check
+    # compose: the coverage check, the clamp, the compounded-slack check and
+    # the dropping of a share that underflows to zero
     Mutant("transform.py", "if uncovered:", "if False:"),
+    Mutant("transform.py", "if w > 0.0:", "if True:"),
     Mutant("transform.py", "w = w if w <= 1.0 else 1.0", "w = w"),
     Mutant("transform.py", "if _off_unit_sum(total):", "if False:"),
     # the readers' text checks
@@ -124,7 +133,6 @@ MUTANTS = [
         "if weight is None or not _in_weight_range(weight):",
         "if weight is None:",
     ),
-    Mutant("io.py", "if any(not c for c in columns):", "if False:"),
     # the layout plan's own checks
     Mutant("viz.py", "if node.x != index:", "if False:"),
     Mutant("viz.py", "if not _is_clean(text):", "if False:"),

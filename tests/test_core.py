@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import array
 import copy
 import dataclasses
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -127,12 +130,33 @@ _VALUE = "value for 'a' is not finite: "
             NonFiniteValue, "unit 'u': " + _VALUE + "'x'", (1, "u"),
             id="HarmonisedPanel-text",
         ),
+        # float() reads number text inside any buffer; a constructor does not.
+        pytest.param(
+            lambda: Link("a", "b", b"0_1"), WeightOutOfRange, _WEIGHT + "b'0_1'", (None, None),
+            id="Link-bytes",
+        ),
+        pytest.param(
+            lambda: IndexedSeries("t", {"a": bytearray(b"1_000")}),
+            NonFiniteValue, _VALUE + "bytearray(b'1_000')", (0, None),
+            id="IndexedSeries-bytearray",
+        ),
+        pytest.param(
+            lambda: HarmonisedPanel("t", (("u", "a", memoryview(b"1_0")),)),
+            NonFiniteValue, "unit 'u': " + _VALUE + "<memory at ", (0, "u"),
+            id="HarmonisedPanel-memoryview",
+        ),
+        pytest.param(
+            lambda: build_crossmap("x", "y", [("a", "b", array.array("b", b"12"))]),
+            WeightOutOfRange, _WEIGHT + "array('b', [49, 50])", (None, None),
+            id="build_crossmap-array",
+        ),
     ],
 )
 def test_a_value_that_is_not_number_text_is_refused_by_name(build, error, message, tags):
-    # A constructor reads a str as the readers read number text, and anything
-    # else with float(); a value that neither takes is the named error, with
-    # the index and unit that the constructor tags.
+    # A constructor reads a str as the readers read number text, and a value
+    # whose type has __float__ or __index__ with float(); any other value, or
+    # one that float() refuses, is the named error, with the index and unit
+    # that the constructor tags.
     with pytest.raises(CrossmapError) as raised:
         build()
     assert type(raised.value) is error
@@ -147,10 +171,14 @@ def test_link_rejects_bad_weights(weight):
 
 
 def test_link_accepts_boundary_weights():
+    import numpy as np
+
     assert Link("a", "b", 1.0).weight == 1.0
     assert Link("a", "b", 1e-12).weight == 1e-12
     # number text as the readers take it, and any number float() takes
     assert [Link("a", "b", w).weight for w in (" 0.5 ", "1e-3", 1, True)] == [0.5, 0.001, 1.0, 1.0]
+    numbers = (Decimal("0.25"), Fraction(1, 4), np.float32(0.25), np.int64(1))
+    assert [Link("a", "b", w).weight for w in numbers] == [0.25, 0.25, 0.25, 1.0]
 
 
 def test_link_is_frozen():

@@ -371,6 +371,25 @@ def test_import_crosswalk_refuses_a_hand_built_ragged_row(row):
     assert str(by_hand.value) == str(from_file.value) == message
 
 
+@pytest.mark.parametrize(
+    ("columns", "message"),
+    [
+        (("", "b"), "parse error: empty column name in header (line 1)"),
+        (("a", "a", "b"), "parse error: duplicate column name in header (line 1)"),
+    ],
+    ids=["empty", "repeated"],
+)
+def test_a_hand_built_table_with_a_bad_header_is_refused_as_a_read_one(columns, message):
+    # A table built by hand is refused with the parse error, at line 1, that
+    # the same table read from a file gives.
+    row = ("x", "y", "z")[: len(columns)]
+    with pytest.raises(ParseError) as by_hand:
+        import_crosswalk(WideCrosswalkDocument(columns, (row,)), "a", "b")
+    with pytest.raises(ParseError) as from_file:
+        read_crosswalk_table(f"{','.join(columns)}\n{','.join(row)}\n")
+    assert str(by_hand.value) == str(from_file.value) == message
+
+
 _QUOTED_BE = "invalid category label 'B\"E': contains a double quote character"
 
 
